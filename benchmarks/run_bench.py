@@ -323,7 +323,7 @@ BENCHMARKS = {
     "alpha_for_fidelity": (bench_alpha_for_fidelity, 20),
     "bsm_dm": (lambda: bench_bsm("dm"), 50),
     "bsm_bell": (lambda: bench_bsm("bell"), 500),
-    "averaged_swap_map": (bench_averaged_swap_map, 20),
+    "averaged_swap_map": (bench_averaged_swap_map, 2000),
     "route_compute_hops": (lambda: bench_route_compute("hops"), 4),
     "route_compute_utilisation":
         (lambda: bench_route_compute("utilisation"), 4),

@@ -25,7 +25,8 @@ For the selected path the controller computes, exactly as before:
 * the **per-link minimum fidelity**, found by binary search over the exact
   worst-case composition: every link pair is assumed to sit in memory for
   one full cutoff window before being swapped, and the L−1 noisy swaps are
-  composed with the density-matrix engine's outcome-averaged swap map,
+  composed with the outcome-averaged swap map (one precomputed bilinear
+  kernel contraction per swap),
 * the **cutoff time**, per policy:
 
   - ``"loss"`` (the paper's default): the time for a link pair to lose
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import networkx as nx
 import numpy as np
@@ -126,9 +127,11 @@ def _age_pair(dm: np.ndarray, elapsed: float, t1: float, t2: float) -> np.ndarra
 #: cutoff policy, memory lifetimes and gate-noise knobs — all of which are
 #: hashable frozen dataclasses, so controllers of identical networks (every
 #: benchmark round, every campaign cell replica, every test building the
-#: same topology) share one solve instead of redoing the ~1s bisection
-#: cascade per controller instance.
-_BUDGET_CACHE: dict[tuple, object] = {}
+#: same topology) share one solve instead of redoing the bisection cascade
+#: per controller instance.  An infeasible solve is cached as its error *message*: a
+#: cached exception object would collect a traceback on every re-raise,
+#: and those frames would keep each failing caller's network alive.
+_BUDGET_CACHE: dict[tuple, Union[tuple, str]] = {}
 _CEILING_CACHE: dict[tuple, float] = {}
 
 
@@ -331,15 +334,15 @@ class CentralController:
                self.memory_t1, self.memory_t2, self.ops)
         cached = _BUDGET_CACHE.get(key)
         if cached is not None:
-            if isinstance(cached, RouteError):
-                raise cached
+            if isinstance(cached, str):
+                raise RouteError(cached)
             return cached
         try:
             solution = self._solve_budget_uncached(model, num_links,
                                                    target_fidelity,
                                                    cutoff_policy)
         except RouteError as exc:
-            _BUDGET_CACHE[key] = exc
+            _BUDGET_CACHE[key] = str(exc)
             raise
         _BUDGET_CACHE[key] = solution
         return solution
@@ -353,6 +356,19 @@ class CentralController:
             raise RouteError(
                 f"links cannot produce fidelity {target_fidelity:.3f} "
                 f"(ceiling ≈ {ceiling:.3f})")
+        # The link state enters the worst case only through α =
+        # alpha_for_fidelity(link fidelity), which lies on a discrete
+        # lattice, so most bisection probes repeat an earlier evaluation.
+        evaluations: dict[tuple, float] = {}
+
+        def worst_case(link_fidelity: float, window: float) -> float:
+            key = (model.alpha_for_fidelity(link_fidelity), num_links, window)
+            value = evaluations.get(key)
+            if value is None:
+                value = evaluations[key] = self._worst_case_fidelity(
+                    model, link_fidelity, num_links, window)
+            return value
+
         # Fixed-point iteration between the cutoff window and the link
         # fidelity (each depends on the other through the decoherence
         # budget); converges in a couple of rounds.
@@ -360,10 +376,9 @@ class CentralController:
         cutoff = self._cutoff_for(model, link_fidelity, cutoff_policy)
         for _ in range(3):
             link_fidelity = self._solve_link_fidelity(
-                model, num_links, target_fidelity, cutoff, ceiling)
+                worst_case, num_links, target_fidelity, cutoff, ceiling)
             cutoff = self._cutoff_for(model, link_fidelity, cutoff_policy)
-        estimated = self._worst_case_fidelity(model, link_fidelity, num_links,
-                                              cutoff if cutoff else 0.0)
+        estimated = worst_case(link_fidelity, cutoff if cutoff else 0.0)
         return link_fidelity, cutoff, estimated
 
     def _score(self, path: list[str], route: RouteComputation, metric: str,
@@ -424,18 +439,22 @@ class CentralController:
             rho = averaged_swap_dm(rho, aged, self.ops)
         return bell_fidelity(rho, 0)
 
-    def _solve_link_fidelity(self, model: SingleClickModel, num_links: int,
-                             target: float, cutoff: Optional[float],
-                             ceiling: float) -> float:
+    @staticmethod
+    def _solve_link_fidelity(worst_case: Callable[[float, float], float],
+                             num_links: int, target: float,
+                             cutoff: Optional[float], ceiling: float) -> float:
+        """Bisect the lowest link fidelity whose ``worst_case`` meets
+        ``target``; ``worst_case(link_fidelity, window)`` is the solve's
+        memoised :meth:`_worst_case_fidelity`."""
         window = cutoff if cutoff else 0.0
-        if self._worst_case_fidelity(model, ceiling, num_links, window) < target:
+        if worst_case(ceiling, window) < target:
             raise RouteError(
                 f"path of {num_links} links cannot meet fidelity {target:.3f} "
                 f"even at the link ceiling {ceiling:.3f}")
         low, high = target, ceiling
         for _ in range(40):
             mid = (low + high) / 2
-            if self._worst_case_fidelity(model, mid, num_links, window) >= target:
+            if worst_case(mid, window) >= target:
                 high = mid
             else:
                 low = mid

@@ -14,14 +14,14 @@ Everything protocols do to qubits goes through this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .bell import swap_combine
 from .bellstate import BellPairState, exact_state as _exact_state, swap_measure
 from .channels import two_qubit_depolarizing_kraus, depolarizing_kraus
-from .gates import CNOT, H, PAULI_FRAME, S, X, Z
+from .gates import CNOT, H, I2, PAULI_FRAME, S
 from .qubit import Qubit
 from .states import QState
 
@@ -221,52 +221,58 @@ def averaged_swap_dm(rho_ab: np.ndarray, rho_bc: np.ndarray,
                      ops: NoisyOpParams = PERFECT_OPS) -> np.ndarray:
     """Outcome-averaged, frame-corrected entanglement-swap map.
 
-    Builds the joint 4-qubit state of two pairs (A-B1, B2-C), applies the
-    noisy Bell-state measurement on (B1, B2) *deterministically* — computing
-    all four conditional outcomes — and returns the average A-C density
-    matrix after each branch has been Pauli-corrected back to the Φ+ frame
-    (exactly what lazy tracking achieves logically).  Readout errors are
-    folded in as classical mislabel branches: a misreported outcome means the
-    tracking applies the wrong frame, so the mislabeled branch contributes
-    its *uncorrected-in-the-right-frame* state.
+    The map takes two pairs (A-B1, B2-C), applies the noisy Bell-state
+    measurement on (B1, B2) — all four outcomes at once — and returns the
+    average A-C density matrix after each branch has been Pauli-corrected
+    back to the Φ+ frame (exactly what lazy tracking achieves logically).
+    Readout errors are folded in as classical mislabel branches: a
+    misreported outcome means the tracking applies the wrong frame, so the
+    mislabeled branch contributes its state corrected in the wrong frame.
 
-    The routing protocol composes this map L−1 times over worst-case-aged
-    link states to budget per-link fidelity (Sec. 5).
+    The map is bilinear in the two input pairs, so it is one contraction
+    against the precomputed :func:`_swap_kernel` of ``ops`` (a few µs per
+    call).  The routing protocol composes it L−1 times over
+    worst-case-aged link states to budget per-link fidelity (Sec. 5).
     """
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    rho_bc = np.asarray(rho_bc, dtype=complex)
-    # Qubit order: A, B1, B2, C.
-    joint = np.kron(rho_ab, rho_bc)
+    kernel = _swap_kernel(ops)
+    rho_ab = np.asarray(rho_ab, dtype=complex).reshape(16)
+    rho_bc = np.asarray(rho_bc, dtype=complex).reshape(16)
+    return ((kernel @ rho_bc).reshape(16, 16) @ rho_ab).reshape(4, 4)
 
-    qubits = [Qubit(str(i)) for i in range(4)]
-    state = QState(joint, qubits)
-    if ops.two_qubit_depolar_prob > 0:
-        state.apply_channel(two_qubit_depolarizing_kraus(ops.two_qubit_depolar_prob),
-                            [qubits[1], qubits[2]])
-    state.apply_unitary(CNOT, [qubits[1], qubits[2]])
-    state.apply_unitary(H, [qubits[1]])
 
-    result = np.zeros((4, 4), dtype=complex)
-    for outcome in range(4):
-        phase_bit, parity_bit = (outcome >> 1) & 1, outcome & 1
-        proj = np.kron(np.diag([1 - phase_bit, phase_bit]),
-                       np.diag([1 - parity_bit, parity_bit])).astype(complex)
-        branch = state._sandwich(proj, [1, 2])
-        prob = float(np.real(np.trace(branch)))
-        if prob <= 1e-15:
-            continue
-        tensor = branch.reshape([2] * 8)
-        # Trace out B1 (axis 1/5) then B2 (now axis 1/4).
-        tensor = np.trace(tensor, axis1=1, axis2=5)
-        tensor = np.trace(tensor, axis1=1, axis2=4)
-        rho_ac = tensor.reshape(4, 4)
-        for reported in range(4):
-            mislabel_prob = _report_probability(outcome, reported, ops)
-            if mislabel_prob <= 0:
-                continue
-            corrected = _frame_correct(rho_ac / prob, swap_combine(0, 0, reported))
-            result += prob * mislabel_prob * corrected
-    return result
+@lru_cache(maxsize=64)
+def _swap_kernel(ops: NoisyOpParams) -> np.ndarray:
+    """Bilinear kernel of :func:`averaged_swap_dm` for one noise setting.
+
+    Returns ``K`` of shape (256, 16) with ``vec(ρ_AC) = (K·vec(ρ_B2C))
+    reshaped (16, 16) · vec(ρ_AB1)`` (row-major ``vec``).  It folds in, in
+    order: the two-qubit depolarizing Kraus terms on (B1, B2), the CNOT·H
+    rotation of the Bell basis onto the computational basis, the four
+    outcome projectors with the trace over B1 B2, the readout mislabel
+    weights and the Pauli frame each reported outcome applies to C.
+    """
+    rotate = np.kron(H, I2) @ CNOT
+    kraus = np.asarray(two_qubit_depolarizing_kraus(ops.two_qubit_depolar_prob))
+    # rows[k, o, b] = ⟨o| (H⊗I)·CNOT·K_k |b⟩ on the B1 B2 register; outcome o
+    # keeps only that row, so the branch of outcome o acts on ρ's B1 B2
+    # indices as G_o[b, b'] = Σ_k rows[k, o, b] · conj(rows[k, o, b']).
+    rows = rotate @ kraus
+    branch = np.einsum("kob,koc->obc", rows, rows.conj()).reshape(4, 2, 2, 2, 2)
+    # Frame correction F_r = I⊗P_r on C: (F† ρ F)[ac, a'c'] =
+    # Σ conj(P_r[d, c]) ρ[ad, a'd'] P_r[d', c'].
+    paulis = np.asarray(PAULI_FRAME)
+    frames = np.einsum("rdc,reg->rdceg", paulis.conj(), paulis)
+    weights = np.array([[_report_probability(outcome, reported, ops)
+                         for reported in range(4)] for outcome in range(4)])
+    # core[c, c', b1, b1', b2, b2', d, d'] =
+    #     Σ_{o,r} w(o, r) · G_o[b1 b2, b1' b2'] · frames[r, d, c, d', c'].
+    core = np.einsum("or,oxyXY,rdcDC->cCxXyYdD", weights, branch, frames)
+    # A passes straight through: spread it with identities into the
+    # (ρ_AC, ρ_AB1, ρ_B2C) index layout [a c a' c'][a b1 a' b1'][b2 d b2' d'].
+    kernel = np.einsum("ae,gh,cCxXyYdD->acgCexhXydYD", I2, I2, core)
+    kernel = kernel.reshape(256, 16)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def _report_probability(true_outcome: int, reported: int, ops: NoisyOpParams) -> float:
@@ -278,13 +284,6 @@ def _report_probability(true_outcome: int, reported: int, ops: NoisyOpParams) ->
         error = ops.readout_error0 if true_bit == 0 else ops.readout_error1
         prob *= error if true_bit != reported_bit else (1.0 - error)
     return prob
-
-
-def _frame_correct(rho: np.ndarray, reported_index: int) -> np.ndarray:
-    """Rotate ``rho`` from the reported Bell frame back to Φ+."""
-    pauli = PAULI_FRAME[int(reported_index) & 0b11]
-    op = np.kron(np.eye(2, dtype=complex), pauli)
-    return op.conj().T @ rho @ op
 
 
 def teleport(data_qubit: Qubit, pair_near: Qubit, pair_far: Qubit, rng,

@@ -9,9 +9,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.quantum import (
     H,
+    PAULI_FRAME,
     NoisyOpParams,
     QState,
     Qubit,
@@ -30,6 +32,7 @@ from repro.quantum import (
     pauli_correct,
     swap_combine,
     teleport,
+    two_qubit_depolarizing_kraus,
     werner_dm,
     CNOT,
 )
@@ -226,6 +229,74 @@ def test_averaged_swap_dm_with_readout_error_is_worse():
     noisy = averaged_swap_dm(werner_dm(0.95), werner_dm(0.95),
                              NoisyOpParams(readout_error0=0.05, readout_error1=0.05))
     assert bell_fidelity(noisy, 0) < bell_fidelity(clean, 0)
+
+
+def reference_averaged_swap_dm(rho_ab, rho_bc, ops):
+    """The swap map run through the general QState engine — the oracle
+    :func:`averaged_swap_dm`'s precomputed kernel is pinned against.
+
+    Builds the joint 4-qubit state (A, B1, B2, C), applies the noisy BSM on
+    (B1, B2), projects onto each outcome, traces B1 B2 out and averages
+    the A-C branches over reported outcomes, each rotated back to Φ+ by the
+    frame its reported outcome implies.
+    """
+    qubits = [Qubit(str(i)) for i in range(4)]
+    state = QState(np.kron(rho_ab, rho_bc), qubits)
+    if ops.two_qubit_depolar_prob > 0:
+        state.apply_channel(two_qubit_depolarizing_kraus(ops.two_qubit_depolar_prob),
+                            [qubits[1], qubits[2]])
+    state.apply_unitary(CNOT, [qubits[1], qubits[2]])
+    state.apply_unitary(H, [qubits[1]])
+
+    def report_probability(outcome, reported):
+        prob = 1.0
+        for shift in (1, 0):
+            true_bit = (outcome >> shift) & 1
+            error = ops.readout_error0 if true_bit == 0 else ops.readout_error1
+            prob *= error if true_bit != (reported >> shift) & 1 else 1.0 - error
+        return prob
+
+    result = np.zeros((4, 4), dtype=complex)
+    for outcome in range(4):
+        phase_bit, parity_bit = (outcome >> 1) & 1, outcome & 1
+        proj = np.kron(np.diag([1 - phase_bit, phase_bit]),
+                       np.diag([1 - parity_bit, parity_bit])).astype(complex)
+        branch = state._sandwich(proj, [1, 2])
+        if np.real(np.trace(branch)) <= 1e-15:
+            continue
+        tensor = branch.reshape([2] * 8)
+        # Trace out B1 (axis 1/5) then B2 (now axis 1/4).
+        tensor = np.trace(tensor, axis1=1, axis2=5)
+        rho_ac = np.trace(tensor, axis1=1, axis2=4).reshape(4, 4)
+        for reported in range(4):
+            frame = np.kron(np.eye(2), PAULI_FRAME[swap_combine(0, 0, reported)])
+            result += (report_probability(outcome, reported)
+                       * frame.conj().T @ rho_ac @ frame)
+    return result
+
+
+def _density_matrix(entries):
+    """A full-rank two-qubit density matrix from 32 real numbers (Ginibre)."""
+    ginibre = (np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4)
+    rho = ginibre @ ginibre.conj().T + 1e-3 * np.eye(4)
+    return rho / np.trace(rho)
+
+
+_entries = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
+_noise = st.builds(
+    NoisyOpParams,
+    two_qubit_gate_fidelity=st.one_of(st.just(1.0), st.floats(0.7, 1.0)),
+    readout_error0=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    readout_error1=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_entries, _entries, _noise)
+def test_averaged_swap_dm_matches_qstate_reference(entries_ab, entries_bc, ops):
+    rho_ab, rho_bc = _density_matrix(entries_ab), _density_matrix(entries_bc)
+    expected = reference_averaged_swap_dm(rho_ab, rho_bc, ops)
+    assert np.abs(averaged_swap_dm(rho_ab, rho_bc, ops) - expected).max() <= 1e-12
 
 
 def test_teleportation_moves_arbitrary_state():
