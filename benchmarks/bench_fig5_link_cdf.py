@@ -11,6 +11,7 @@ percentile within a factor of two of 30 ms.
 """
 
 from repro.analysis import Cdf, mean, render_table
+from repro.netsim.ports import subscribe
 from repro.netsim.units import MS, S
 from repro.network.builder import build_chain_network
 
@@ -33,8 +34,10 @@ def collect_interpair_times(seed: int = 0) -> list[float]:
         for node_name in ("node0", "node1"):
             net.node(node_name).qmm.free(delivery.entanglement_id)
 
-    link.register_handler("node0", on_pair)
-    link.register_handler("node1", lambda d: None)
+    for name, handler in (("node0", on_pair), ("node1", lambda d: None)):
+        port = link.delivery_port(name)
+        port.disconnect()  # detach the network layer the builder wired
+        subscribe(port, handler)
     link.set_request("fig5", min_fidelity=FIDELITY, lpr=100.0)
     while len(times) < NUM_PAIRS:
         if net.sim.pending_events() == 0:

@@ -82,6 +82,7 @@ def test_micro_heralded_state(benchmark):
 @pytest.mark.parametrize("formalism", ["dm", "bell"])
 def test_micro_link_generation_round(benchmark, formalism):
     """Full stack cost of producing ~20 link pairs on one link."""
+    from repro.netsim.ports import subscribe
     from repro.network.builder import build_chain_network
 
     def produce_pairs():
@@ -94,8 +95,10 @@ def test_micro_link_generation_round(benchmark, formalism):
             for name in ("node0", "node1"):
                 net.node(name).qmm.free(delivery.entanglement_id)
 
-        link.register_handler("node0", consume)
-        link.register_handler("node1", lambda d: None)
+        for name, handler in (("node0", consume), ("node1", lambda d: None)):
+            port = link.delivery_port(name)
+            port.disconnect()  # detach the network layer the builder wired
+            subscribe(port, handler)
         link.set_request("micro", min_fidelity=0.9, lpr=100.0)
         net.sim.run(until=1e8)  # 100 ms simulated
         return count[0]

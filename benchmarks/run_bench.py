@@ -105,9 +105,8 @@ def bench_averaged_swap_map():
 #: end-to-end pair throughput (pairs per simulated second) per formalism.
 TRAFFIC_STATS: dict[str, float] = {}
 
-#: Simulator events processed per traffic scenario (allocation/event-churn
-#: trajectory; the vectorised core is visible here before it shows in wall
-#: time).
+#: Simulator events processed per traffic scenario (the event-churn
+#: trajectory; a seed-deterministic count, not a speed).
 EVENT_STATS: dict[str, int] = {}
 
 #: Final metrics-registry counters of the soak run, per formalism — the
@@ -153,25 +152,38 @@ def bench_traffic_round(formalism: str):
     return run
 
 
-def bench_traffic_soak(formalism: str):
-    """Pair-rate soak: 96 single-hop circuits on a 4x4 grid at load 0.9.
+def run_soak(formalism: str = "bell", **engine_options):
+    """Run the ``traffic_soak`` scenario; returns ``(engine, report)``.
 
-    The sustained-throughput scenario behind ``traffic_pairs_per_s``:
-    single-hop circuits run at the link EER (no swap losses), so the
-    simulated pair rate — and with it the number of live pairs, timeslot
-    chains and scheduler events per simulated second — is an order of
-    magnitude above ``traffic_round``.  Feasible as a benchmark at all
-    because of the batched EGP chains and the SoA weight store; the
-    ``traffic_pairs_per_s`` CI floor (≥ 9360 for ``bell``, 10x the PR 5
-    scenario's 936) pins that capability.
+    96 single-hop circuits on a 4x4 grid at load 0.9, seed 7, for 0.5
+    simulated seconds plus a 0.3 s drain.  ``engine_options`` go to
+    :class:`~repro.traffic.TrafficEngine` (``metrics_out``,
+    ``checkpoint_out``, ...), so the benchmark and the CI soak steps run
+    one and the same scenario.
     """
     from repro.traffic import TrafficEngine, build_topology
 
+    net = build_topology("grid", 4, seed=7, formalism=formalism)
+    engine = TrafficEngine(net, circuits=96, load=0.9, seed=7,
+                           min_hops=1, max_hops=1, max_sessions=40000,
+                           **engine_options)
+    return engine, engine.run(horizon_s=0.5, drain_s=0.3)
+
+
+def bench_traffic_soak(formalism: str):
+    """Pair-rate soak: :func:`run_soak`.
+
+    The sustained-throughput scenario behind ``traffic_pairs_per_s``:
+    single-hop circuits run at the link EER (no swap losses), so the
+    simulated pair rate — and with it the number of live pairs and
+    scheduler events per simulated second — is an order of magnitude
+    above ``traffic_round``.  ``traffic_pairs_per_s`` is a simulated rate,
+    fixed by the seed; the wall-clock cost is the op's own time.
+    """
+
     def run():
-        net = build_topology("grid", 4, seed=7, formalism=formalism)
-        engine = TrafficEngine(net, circuits=96, load=0.9, seed=7,
-                               min_hops=1, max_hops=1, max_sessions=40000)
-        report = engine.run(horizon_s=0.5, drain_s=0.3)
+        engine, report = run_soak(formalism)
+        net = engine.net
         assert report.total_confirmed_pairs > 0
         TRAFFIC_STATS[formalism] = round(report.throughput_pairs_per_s, 2)
         EVENT_STATS[f"traffic_soak_{formalism}"] = net.sim.events_processed
@@ -281,6 +293,7 @@ def bench_link_delivery_round(formalism: str):
     state work is where the formalisms genuinely differ, so bell ≥ dm is
     a gated invariant (``compare_bench.py --check-speedups``).
     """
+    from repro.netsim.ports import subscribe
     from repro.network.builder import build_chain_network
     from repro.quantum.fidelity import pair_fidelity
 
@@ -301,8 +314,10 @@ def bench_link_delivery_round(formalism: str):
         if qubit_b.state is not None:
             qubit_b.state.remove(qubit_b)
 
-    link.register_handler("node0", consume)
-    link.register_handler("node1", lambda d: None)
+    for name, handler in (("node0", consume), ("node1", lambda d: None)):
+        port = link.delivery_port(name)
+        port.disconnect()  # detach the network layer the builder wired
+        subscribe(port, handler)
     link.set_request("micro", min_fidelity=0.8, lpr=200.0)
     net.sim.run(until=net.sim.now + 1e8)  # warm to steady state
     assert count[0] > 5

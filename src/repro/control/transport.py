@@ -11,13 +11,12 @@ guarantees over a :class:`~repro.netsim.channels.LossyChannel`.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from ..netsim.channels import CLASSICAL, ChannelEnd
 from ..netsim.entity import Entity
-from ..netsim.ports import CallbackComponent, Component, connect
+from ..netsim.ports import Component, connect
 from ..netsim.scheduler import Simulator
 from ..netsim.timers import Timer
 
@@ -48,22 +47,6 @@ class ReliableEnd(Entity, Component):
         self._retransmit = Timer(sim, self._on_timeout)
         self.retransmissions = 0
         connect(self._raw_port, raw_end.port)
-
-    def connect(self, receiver: Callable[[Any], None]) -> None:
-        """Deprecated: register the callback for every in-order delivery.
-
-        New code connects a component port to ``self.port("rx")``; this
-        shim wraps the callback, replacing any existing connection.
-        """
-        warnings.warn(
-            "ReliableEnd.connect() is deprecated; connect a component port "
-            "to ReliableEnd.port('rx') instead",
-            DeprecationWarning, stacklevel=2)
-        if self._rx_port.connected:
-            self._rx_port.disconnect()
-        adapter = CallbackComponent(receiver, TRANSPORT,
-                                    name=f"{self.name}.receiver")
-        connect(self._rx_port, adapter.io)
 
     def send(self, message: Any) -> None:
         """Queue a message for reliable, in-order transmission."""

@@ -137,8 +137,8 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             self._labels[(link_name, label)] = entry.circuit_id
             if link_name not in self._registered_links:
                 # Take over the link's delivery port for this endpoint
-                # (disconnect-then-connect mirrors the overwrite
-                # semantics the old register_handler dict had).
+                # (disconnect-then-connect: the QNP replaces whatever
+                # was wired there before).
                 delivery = self.node.links[link_name].delivery_port(
                     self.node.name)
                 if delivery.connected:

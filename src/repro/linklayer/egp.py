@@ -28,48 +28,28 @@ Operation:
   devices (single communication qubit) and every attempt dephases storage
   qubits at both nodes.
 
-Timeslot batching (the vectorised-core revision):
-
-On hardware without per-attempt storage dephasing and without device
-serialisation (the standard parameter set), nothing observable happens
-*between* generation slices: a failed slice releases and immediately
-re-acquires the same comm slots (the pool free-list is LIFO), charges the
-fair-share scheduler, and starts the next slice at the same instant.  The
-link therefore **pre-computes the whole failed-slices-then-success chain in
-one go** — replaying the WRR picks against a shadow copy of the scheduler's
-virtual times — and schedules a *single* boundary event at the delivery
-time, instead of one event per slice.  Geometric outcomes come from a
-**per-link numpy PCG64 stream** (seeded from ``Simulator.rng`` at link
-construction, so ``--seed`` still pins the whole run) refilled in 256-wide
-blocks, i.e. one numpy RNG call amortised over many slices.
-
-Determinism is preserved exactly: the batched and event-per-slice paths
-draw the *same uniforms in the same order* from the same per-link stream,
-so they produce byte-identical telemetry (``Link.batched = False`` switches
-a link back to the event-per-slice path; the regression tests diff the
-two).  Any state mutation that could invalidate a pre-computed chain —
-request install/update/teardown, endorsement, priority hints, link failure
-— first **settles** the chain: completed slices are accounted in bulk, the
-in-flight slice is handed to the ordinary scalar finisher, and the unused
-uniforms are pushed back onto the stream so the scalar path re-draws them
-in the original order.  (If an interrupt lands exactly on a slice boundary
-the next slice counts as already started; in the event-per-slice path that
-ordering depends on event insertion order, so either convention is
-admissible — this one is fixed and documented.)
+Generation runs one simulator event per slice: :meth:`Link._run_round`
+draws the slice's attempt count and posts :meth:`Link._finish_round` at the
+slice's end, which books the attempts, charges the fair-share scheduler and
+either delivers the pair or starts the next slice.  Geometric outcomes and
+herald bits come from a **per-link numpy PCG64 stream** (seeded from
+``Simulator.rng`` at link construction, so ``--seed`` still pins the whole
+run) read through a 256-draw block buffer: one numpy call amortised over
+many slices, and a link's draws do not depend on how rounds of different
+links interleave.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..hardware.heralded import SingleClickModel
 from ..netsim.entity import Entity
-from ..netsim.ports import CallbackComponent, Component, Port, connect
+from ..netsim.ports import Component, Port, connect
 from ..netsim.scheduler import SerialCounter, Simulator
 from ..network.arbiter import acquire_ordered, release_all
 from ..network.node import QuantumNode
@@ -79,8 +59,6 @@ from ..quantum.bell import BellIndex
 from .scheduler import FairShareScheduler
 from .service import LinkPairDelivery, LinkRequestState
 
-DeliveryHandler = Callable[[LinkPairDelivery], None]
-
 #: Protocol tag of the link layer's pair-delivery ports (link → network
 #: layer, one port per endpoint node).
 DELIVERY = "egp.delivery"
@@ -89,24 +67,6 @@ PHOTON = "photon"
 
 #: Uniforms per refill of the per-link RNG buffer (one numpy call each).
 _RNG_BLOCK = 256
-#: Upper bound on pre-computed slices per chain; a chain that reaches the
-#: cap without success simply continues with a fresh chain (bounds both the
-#: memory held per link and the worst-case settle cost).
-_MAX_CHAIN = 512
-
-
-class _Chain:
-    """A pre-computed run of generation slices awaiting its boundary event."""
-
-    __slots__ = ("slices", "start", "success", "slot_a", "slot_b", "event")
-
-    def __init__(self, slices, start, success, slot_a, slot_b, event):
-        self.slices = slices  # list of (request, burst, uniform)
-        self.start = start
-        self.success = success
-        self.slot_a = slot_a
-        self.slot_b = slot_b
-        self.event = event
 
 
 class Link(Entity, Component):
@@ -164,41 +124,20 @@ class Link(Entity, Component):
                                and node_b.params.parallel_links)
         #: Per-link geometric/Bernoulli stream.  Seeding from the simulator
         #: RNG keeps runs reproducible from ``--seed`` alone (construction
-        #: order is deterministic); a *per-link* stream is what makes the
-        #: batched chain consume exactly the draws the event-per-slice path
-        #: would, independent of how rounds of different links interleave.
+        #: order is deterministic); a *per-link* stream keeps each link's
+        #: draws independent of how rounds of different links interleave.
         self._rng = np.random.default_rng(sim.rng.getrandbits(64))
         self._ubuf = self._rng.random(_RNG_BLOCK)
         self._upos = 0
-        #: Uniforms returned by a settled chain, re-served LIFO so the
-        #: scalar path re-draws them in the original order.
-        self._pushback: list[float] = []
-        #: Knob: set False to force the event-per-slice path (used by the
-        #: batched-vs-scalar equivalence tests).
-        self.batched = True
-        # Chains require that nothing observable happens between slices:
-        # no device serialisation (arbiters) and no per-attempt storage
-        # dephasing.  Both are fixed at construction time.
-        self._batch_ok = (
-            not self._serialize
-            and getattr(self._device_a, "_nuclear_q", 1.0) <= 0
-            and getattr(self._device_b, "_nuclear_q", 1.0) <= 0)
-        self._chain: Optional[_Chain] = None
         #: Failure injection: a down link stops generating (see :meth:`fail`).
         self.up = True
-        # Statistics (benchmarks read these).  Attempts/busy accumulate in
-        # the underscored fields; the public names are properties that add
-        # the in-flight chain's completed slices, so readers see the same
-        # numbers at any instant as the event-per-slice engine would.
+        # Statistics (benchmarks read these).
         self.pairs_generated = 0
-        self._attempts_made = 0
-        self._busy_time = 0.0
+        self.attempts_made = 0
+        self.busy_time = 0.0
         #: Optional shared event log (see :mod:`repro.analysis.tracing`);
         #: attached by ``attach_trace`` alongside the QNP engines.
         self.trace = None
-        #: Optional chain-length histogram (``repro.obs``): the topology
-        #: builder points every link at one shared registry instrument.
-        self.chain_hist = None
         for node in (node_a, node_b):
             node.qmm.on_slot_freed(self._on_slot_freed)
 
@@ -213,25 +152,6 @@ class Link(Entity, Component):
         except KeyError:
             raise ValueError(
                 f"{node_name} is not an endpoint of {self.name}") from None
-
-    def register_handler(self, node_name: str, handler: DeliveryHandler) -> None:
-        """Deprecated: register the network layer's pair receiver at one end.
-
-        New code connects a component port to :meth:`delivery_port`; this
-        shim wraps the bare callback in a
-        :class:`~repro.netsim.ports.CallbackComponent`, replacing any
-        existing connection (the historical overwrite semantics).
-        """
-        warnings.warn(
-            "Link.register_handler() is deprecated; connect a component "
-            "port to Link.delivery_port(node_name) instead",
-            DeprecationWarning, stacklevel=2)
-        port = self.delivery_port(node_name)
-        if port.connected:
-            port.disconnect()
-        adapter = CallbackComponent(handler, DELIVERY,
-                                    name=f"{self.name}.handler:{node_name}")
-        connect(port, adapter.io)
 
     def attach_station(self, station) -> None:
         """Wire a midpoint heralding station to this link.
@@ -263,7 +183,6 @@ class Link(Entity, Component):
         ref [19]'s two-ended distributed queue.  Without it the request is
         immediately live (single-caller use).
         """
-        self._settle_chain()
         if self.trace is not None:
             self.trace.record(self.sim._now, self.name, "EGP_REQUEST",
                               purpose=purpose_id, lpr=lpr)
@@ -299,7 +218,6 @@ class Link(Entity, Component):
 
     def endorse(self, purpose_id: str, node_name: str) -> None:
         """Second-endpoint endorsement of a two-sided request."""
-        self._settle_chain()
         request = self._requests.get(purpose_id)
         if request is None or not request.active:
             self._pending_endorsements.setdefault(purpose_id, set()).add(node_name)
@@ -311,7 +229,6 @@ class Link(Entity, Component):
 
     def end_request(self, purpose_id: str) -> None:
         """Terminate a continuous generation request (COMPLETE handling)."""
-        self._settle_chain()
         if self.trace is not None:
             self.trace.record(self.sim._now, self.name, "EGP_END",
                               purpose=purpose_id)
@@ -337,7 +254,6 @@ class Link(Entity, Component):
         in-flight round completes without delivering.  Installed requests
         survive, so :meth:`restore` resumes generation where it left off.
         """
-        self._settle_chain()
         self.up = False
 
     def restore(self) -> None:
@@ -358,7 +274,6 @@ class Link(Entity, Component):
         collapse (Sec 5.1); it is off by default and exercised by the
         scheduling ablation bench.
         """
-        self._settle_chain()
         if boosted:
             self._priorities.setdefault(purpose_id, set()).add(node_name)
             self._kick()
@@ -444,8 +359,6 @@ class Link(Entity, Component):
         if arbiters:
             acquire_ordered(arbiters, partial(self._run_round, purpose_id,
                                               slot_a, slot_b, arbiters))
-        elif self.batched and self._batch_ok:
-            self._run_chain(purpose_id, slot_a, slot_b)
         else:
             self._run_round(purpose_id, slot_a, slot_b, arbiters)
 
@@ -456,8 +369,6 @@ class Link(Entity, Component):
         draws (pinned by a regression test), so buffering changes nothing
         observable — it just amortises the RNG call.
         """
-        if self._pushback:
-            return self._pushback.pop()
         pos = self._upos
         buf = self._ubuf
         if pos >= _RNG_BLOCK:
@@ -488,196 +399,6 @@ class Link(Entity, Component):
         sim.post_at(sim._now + burst * self._cycle_time, self._finish_round,
                     request, burst, success, slot_a, slot_b, arbiters)
 
-    # -- batched (chain) path -------------------------------------------
-
-    def _run_chain(self, purpose_id: str, slot_a: Slot, slot_b: Slot) -> None:
-        """Pre-compute the whole failed-slices-then-success chain.
-
-        Equivalent to running :meth:`_run_round`/:meth:`_finish_round` once
-        per slice: failed slices release and re-acquire the same LIFO slots
-        at the same instant, attempt noise is a no-op (``_batch_ok``), and
-        the WRR picks are replayed against a shadow copy of the scheduler's
-        virtual times.  Only the chain's boundary event enters the queue.
-        """
-        requests = self._requests
-        request = requests.get(purpose_id)
-        if request is None or not request.active:
-            self._abort_round(slot_a, slot_b, [])
-            return
-        sim = self.sim
-        slice_attempts = self.slice_attempts
-        cycle = self._cycle_time
-        scheduler = self._scheduler
-        eligible = self._eligible_purposes()
-        # With one eligible purpose every pick trivially returns it; the
-        # shadow replay is only needed for true multiplexing.
-        replay = len(eligible) > 1
-        virt = dict(scheduler._virtual) if replay else None
-        weights = scheduler._weights
-        priorities = self._priorities
-        log = math.log
-        next_u = self._next_u
-        slices = []
-        t = sim._now
-        success = False
-        while len(slices) < _MAX_CHAIN:
-            u = next_u()
-            n = math.ceil(log(1.0 - u) / request.log_miss)
-            if n < 1:
-                n = 1
-            if n <= slice_attempts:
-                slices.append((request, n, u))
-                t += n * cycle
-                success = True
-                break
-            slices.append((request, slice_attempts, u))
-            t += slice_attempts * cycle
-            if replay:
-                virt[purpose_id] += slice_attempts * cycle / weights[purpose_id]
-                pool = eligible
-                if priorities:
-                    boosted = [p for p in eligible if priorities.get(p)]
-                    if boosted:
-                        pool = boosted
-                # Replay of FairShareScheduler.pick: strict less-than, first
-                # wins, over the eligible list's iteration order.
-                best, best_virtual = None, float("inf")
-                for candidate in pool:
-                    virtual = virt[candidate]
-                    if virtual < best_virtual:
-                        best, best_virtual = candidate, virtual
-                purpose_id = best
-                request = requests[purpose_id]
-        event = sim.schedule_at(t, self._finish_chain)
-        self._chain = _Chain(slices, sim._now, success, slot_a, slot_b, event)
-        if self.chain_hist is not None:
-            self.chain_hist.observe(len(slices))
-
-    def _charge_slices(self, slices) -> int:
-        """Apply a batch of slices' bookkeeping; returns total attempts."""
-        cycle = self._cycle_time
-        charge = self._scheduler.charge
-        total = 0
-        run_request, run_attempts = None, 0
-        for request, burst, _u in slices:
-            total += burst
-            if request is run_request:
-                run_attempts += burst
-                continue
-            if run_request is not None:
-                try:
-                    charge(run_request.purpose_id, run_attempts * cycle)
-                except KeyError:
-                    pass
-            run_request, run_attempts = request, burst
-        if run_request is not None:
-            try:
-                charge(run_request.purpose_id, run_attempts * cycle)
-            except KeyError:
-                pass
-        self._attempts_made += total
-        self._busy_time += total * cycle
-        return total
-
-    def _chain_elapsed_attempts(self) -> int:
-        """Attempts of in-flight-chain slices already finished at ``now``.
-
-        The scalar engine books a round's attempts when its finish event
-        fires; a pre-computed chain books them at settle/finish instead.
-        The stats properties bridge the gap so telemetry read mid-chain
-        (traffic reports, benchmarks) is identical either way.
-        """
-        chain = self._chain
-        if chain is None:
-            return 0
-        cycle = self._cycle_time
-        now = self.sim._now
-        t = chain.start
-        total = 0
-        for _request, burst, _u in chain.slices:
-            t += burst * cycle
-            if t > now:
-                break
-            total += burst
-        return total
-
-    @property
-    def attempts_made(self) -> int:
-        return self._attempts_made + self._chain_elapsed_attempts()
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time + self._chain_elapsed_attempts() * self._cycle_time
-
-    def _finish_chain(self) -> None:
-        chain = self._chain
-        self._chain = None
-        self._charge_slices(chain.slices)
-        request = chain.slices[-1][0]
-        if chain.success and request.active and self.up:
-            self._deliver_pair(request, chain.slot_a, chain.slot_b)
-            self._running = False
-            self._kick()
-            return
-        # Chain hit the length cap without success (the settled-failure
-        # cases clear the chain before this event can fire): continue
-        # exactly like a failed round, slots still in hand when possible.
-        eligible = self._eligible_purposes()
-        if (self.up and len(eligible) == 1
-                and eligible[0] == request.purpose_id):
-            self._run_chain(request.purpose_id, chain.slot_a, chain.slot_b)
-            return
-        chain.slot_a.release()
-        chain.slot_b.release()
-        self._running = False
-        self._kick()
-
-    def _settle_chain(self) -> None:
-        """Collapse a pre-computed chain back to the event-per-slice path.
-
-        Called *before* any mutation that could invalidate the chain's
-        replayed decisions.  Completed slices are accounted in bulk, the
-        in-flight slice is handed to the ordinary :meth:`_finish_round`
-        (success iff it was the chain's final slice), and the uniforms of
-        never-started slices are pushed back so the scalar path re-draws
-        them in the original order.
-        """
-        chain = self._chain
-        if chain is None:
-            return
-        self._chain = None
-        chain.event.cancel()
-        sim = self.sim
-        now = sim._now
-        cycle = self._cycle_time
-        slices = chain.slices
-        t = chain.start
-        unused_from = len(slices)
-        for i, (request, burst, _u) in enumerate(slices):
-            end = t + burst * cycle
-            if end <= now:
-                t = end
-                continue
-            # Slices are contiguous from chain.start <= now, so the first
-            # slice ending after now necessarily started at t <= now: it is
-            # the in-flight round.  (An interrupt exactly on a boundary
-            # counts the next slice as started — see the module docstring.)
-            self._charge_slices(slices[:i])
-            success = chain.success and i == len(slices) - 1
-            sim.post_at(end, self._finish_round, request, burst, success,
-                        chain.slot_a, chain.slot_b, [])
-            unused_from = i + 1
-            break
-        else:
-            # Interrupted exactly at the chain's completion instant: account
-            # everything and re-run the delivery/continue logic as a
-            # zero-attempt finish, *after* the interrupting mutation.
-            self._charge_slices(slices)
-            sim.post_at(now, self._finish_round, slices[-1][0], 0,
-                        chain.success, chain.slot_a, chain.slot_b, [])
-        for i in range(len(slices) - 1, unused_from - 1, -1):
-            self._pushback.append(slices[i][2])
-
     def _abort_round(self, slot_a: Slot, slot_b: Slot, arbiters: list) -> None:
         slot_a.release()
         slot_b.release()
@@ -688,9 +409,9 @@ class Link(Entity, Component):
 
     def _finish_round(self, request: LinkRequestState, burst: int, success: bool,
                       slot_a: Slot, slot_b: Slot, arbiters: list) -> None:
-        self._attempts_made += burst
+        self.attempts_made += burst
         busy = burst * self._cycle_time
-        self._busy_time += busy
+        self.busy_time += busy
         # Attempt noise only touches parked storage qubits (near-term model);
         # skip the call entirely on the common empty-storage path.
         if self._device_a._stored:
@@ -715,11 +436,7 @@ class Link(Entity, Component):
                 # the next round starts at the same instant, samples the
                 # same RNG draw, and the scheduler would pick this purpose
                 # again (it is the only one).
-                if self.batched and self._batch_ok:
-                    self._run_chain(request.purpose_id, slot_a, slot_b)
-                else:
-                    self._run_round(request.purpose_id, slot_a, slot_b,
-                                    arbiters)
+                self._run_round(request.purpose_id, slot_a, slot_b, arbiters)
                 return
             slot_a.release()
             slot_b.release()
@@ -730,9 +447,8 @@ class Link(Entity, Component):
 
     def _deliver_pair(self, request: LinkRequestState, slot_a: Slot,
                       slot_b: Slot) -> None:
-        # Drawn from the per-link stream *at delivery time*, i.e. after the
-        # chain's geometric draws — the same stream order as the
-        # event-per-slice path (geo, geo, ..., geo, herald).
+        # Drawn from the per-link stream at delivery time, after the
+        # slices' geometric draws (geo, geo, ..., geo, herald).
         bell_index = (BellIndex.PSI_PLUS if self._next_u() < 0.5
                       else BellIndex.PSI_MINUS)
         correlator = (self.name, next(self._seq))

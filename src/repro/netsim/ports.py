@@ -1,12 +1,11 @@
 """Typed component-and-port wiring for the simulation graph.
 
 Historically the builder wired protocol machines together by assigning
-callbacks onto each other's attributes (``end.connect(cb)``,
-``link.register_handler(...)``).  That made the wiring invisible — there
-was no object that *was* the connection, nothing validated that the two
-sides spoke the same message protocol, and every new layer (batching,
-multi-domain gateways, alternative physical models) had to invent its own
-ad-hoc attachment point.
+callbacks onto each other's attributes.  That made the wiring invisible —
+there was no object that *was* the connection, nothing validated that the
+two sides spoke the same message protocol, and every new layer
+(multi-domain gateways, alternative physical models) had to invent its
+own ad-hoc attachment point.
 
 This module is the replacement seam, modelled on NetSquid's
 component/port idiom:
@@ -194,30 +193,6 @@ def connect(a: Port, b: Port) -> None:
     peer; both errors name the offending components.
     """
     a.connect(b)
-
-
-class _Unpack:
-    """Picklable adapter calling ``handler(*message)`` for tuple messages.
-
-    Used by the deprecation shims: the legacy node-dispatch handlers take
-    ``(sender, payload)`` as two positional arguments while port messages
-    are single objects.  A module-level class (not a lambda) so shimmed
-    graphs still checkpoint.
-    """
-
-    __slots__ = ("handler",)
-
-    def __init__(self, handler: Callable[..., None]):
-        self.handler = handler
-
-    def __call__(self, message) -> None:
-        self.handler(*message)
-
-    def __getstate__(self):
-        return self.handler
-
-    def __setstate__(self, state) -> None:
-        self.handler = state
 
 
 class CallbackComponent(Component):

@@ -150,7 +150,6 @@ class Network:
         obs.counter("egp.attempts", source=self._src_egp_attempts)
         obs.counter("egp.pairs_generated", source=self._src_egp_pairs)
         obs.gauge("egp.busy_time_s", source=self._src_egp_busy_s)
-        obs.histogram("egp.chain_slices")
         obs.counter("qnp.swaps", source=self._src_qnp_swaps)
         obs.counter("qnp.pairs_delivered", source=self._src_qnp_delivered)
         obs.counter("qnp.pairs_discarded", source=self._src_qnp_discarded)
@@ -266,7 +265,6 @@ class Network:
             model = SingleClickModel(self.params, connection)
         link = Link(self.sim, f"{name_a}~{name_b}", node_a, node_b, model,
                     slice_attempts, backend=self.backend)
-        link.chain_hist = self.obs.histogram("egp.chain_slices")
         node_a.attach_link(link, name_b)
         node_b.attach_link(link, name_a)
         if physical == "midpoint":

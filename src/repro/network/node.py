@@ -14,22 +14,18 @@ Wiring (the component-and-port layer, see :mod:`repro.netsim.ports`):
   connected by the protocol agent that serves the kind (QNP engine,
   signalling, liveness); the node demultiplexes inbound classical
   messages onto these ports as ``(sender, payload)``.
-
-The pre-port ``register_handler``/``attach_channel`` methods survive as
-deprecated shims that route through the same ports.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..hardware.nv import NVDevice
 from ..hardware.parameters import HardwareParams
-from ..netsim.channels import CLASSICAL, ChannelEnd
+from ..netsim.channels import CLASSICAL
 from ..netsim.entity import Entity
-from ..netsim.ports import CallbackComponent, Component, Port, _Unpack, connect
+from ..netsim.ports import Component, Port
 from ..netsim.scheduler import Simulator
 from ..quantum.backends import Backend, get_backend
 from .arbiter import DeviceArbiter
@@ -118,47 +114,12 @@ class QuantumNode(Entity, Component):
             self._services[kind] = port
         return port
 
-    def attach_channel(self, neighbour: str, end: ChannelEnd) -> None:
-        """Deprecated: register the classical channel towards a neighbour.
-
-        New code connects ``node.classical_port(neighbour)`` to the
-        channel port directly; this shim does exactly that.
-        """
-        warnings.warn(
-            "QuantumNode.attach_channel() is deprecated; connect "
-            "node.classical_port(neighbour) to the channel port instead",
-            DeprecationWarning, stacklevel=2)
-        port = self.classical_port(neighbour)
-        if port.connected:
-            raise ValueError(
-                f"{self.name}: channel to {neighbour} already attached")
-        connect(port, end.port)
-
     def send(self, neighbour: str, kind: str, payload: Any) -> None:
         """Send a classical control message to a directly connected node."""
         port = self._classical.get(neighbour)
         if port is None:
             raise KeyError(f"{self.name}: no classical channel to {neighbour}")
         port.tx((kind, self.name, payload))
-
-    def register_handler(self, kind: str, handler: Callable[[str, Any], None]) -> None:
-        """Deprecated: register the receiver for a message kind.
-
-        New code (protocol agents) connects its own port to
-        ``node.service_port(kind)``; this shim wraps the bare callback in
-        a :class:`~repro.netsim.ports.CallbackComponent`, replacing any
-        existing connection (the historical overwrite semantics).
-        """
-        warnings.warn(
-            "QuantumNode.register_handler() is deprecated; connect an agent "
-            "port to node.service_port(kind) instead",
-            DeprecationWarning, stacklevel=2)
-        port = self.service_port(kind)
-        if port.connected:
-            port.disconnect()
-        adapter = CallbackComponent(_Unpack(handler), service_protocol(kind),
-                                    name=f"{self.name}.handler:{kind}")
-        connect(port, adapter.io)
 
     def _on_message(self, neighbour: str, message: Any) -> None:
         kind, sender, payload = message

@@ -2,15 +2,15 @@
 
 A checkpoint is a single pickle file with two layers:
 
-* an **outer envelope** — magic string, format version, the values of
-  the process-global serial counters (request/circuit/qubit IDs) and the
-  weight store's peak occupancy — all cheap plain data, validated
-  *before* any simulation state is deserialised;
+* an **outer envelope** — magic string, format version and the values of
+  the process-global serial counters (request/circuit/qubit IDs) — all
+  cheap plain data, validated *before* any simulation state is
+  deserialised;
 * the **engine blob** — the pickled :class:`~repro.traffic.workload.
   TrafficEngine`, which transitively carries the whole simulation: the
-  network (scheduler heap, links with their numpy RNG block buffers and
-  in-flight EGP chains, QNP/circuit/policer/arbiter state), the traffic
-  sessions, the metrics registry and the snapshot emitter.
+  network (scheduler heap, links with their numpy RNG block buffers,
+  live Bell pairs with their weights, QNP/circuit/policer/arbiter state),
+  the traffic sessions, the metrics registry and the snapshot emitter.
 
 Writes are crash-safe: the payload is flushed and fsynced to a ``.tmp``
 sibling, then moved into place with :func:`os.replace` — a reader never
@@ -20,9 +20,7 @@ previous complete checkpoint.
 What is **not** captured: open file handles (the snapshot emitter
 re-opens and truncates its JSONL on :meth:`~repro.obs.snapshots.
 SnapshotEmitter.reattach`) and wall-clock context (``t_wall_s`` /
-``max_rss_kb`` restart from the resuming process).  Bell-pair rows are
-re-allocated into the resuming process's weight store — row indices are
-process-local and unobservable, so only the weights travel.
+``max_rss_kb`` restart from the resuming process).
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Optional
 
 #: Format version; bump on any layout change.  Loading rejects other
 #: versions before deserialising any simulation state.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _MAGIC = "repro-checkpoint"
 
@@ -79,13 +77,10 @@ def save_checkpoint(engine, path) -> str:
     rename): either the previous checkpoint or the new one exists at
     ``path``, never a torn hybrid.
     """
-    from ..quantum.weightstore import STORE
-
     envelope = {
         "magic": _MAGIC,
         "version": CHECKPOINT_VERSION,
         "counters": _counter_values(),
-        "store_peak_live": STORE.peak_live,
         "engine_blob": pickle.dumps(engine,
                                     protocol=pickle.HIGHEST_PROTOCOL),
     }
@@ -105,8 +100,7 @@ def load_checkpoint(path, *, metrics_out: Optional[str] = None,
 
     Validates the envelope (magic + version) before touching the engine
     blob, restores the global ID counters to their checkpointed
-    positions, re-allocates live Bell pairs into this process's weight
-    store, and re-opens the snapshot stream (truncated back to the
+    positions, and re-opens the snapshot stream (truncated back to the
     frames the checkpoint vouches for).  The returned engine continues
     with :meth:`~repro.traffic.workload.TrafficEngine.resume_run`.
 
@@ -117,8 +111,6 @@ def load_checkpoint(path, *, metrics_out: Optional[str] = None,
     Restoring rewinds the *global* counter streams, so do not resume a
     checkpoint in a process with other live simulations.
     """
-    from ..quantum.weightstore import STORE
-
     try:
         with open(path, "rb") as handle:
             envelope = pickle.load(handle)
@@ -140,7 +132,6 @@ def load_checkpoint(path, *, metrics_out: Optional[str] = None,
     except Exception as exc:
         raise CheckpointError(
             f"corrupt engine state in {path}: {exc}") from exc
-    STORE.peak_live = max(STORE.peak_live, envelope["store_peak_live"])
     if checkpoint_out is not None:
         engine.checkpoint_out = str(checkpoint_out)
     if engine.emitter is not None:

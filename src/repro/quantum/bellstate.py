@@ -10,13 +10,11 @@ O(4^n) tensor contractions.  The closed forms are the ones of
 :mod:`repro.quantum.analytic`, which the property tests pin against the
 exact engine.
 
-Since the vectorised-core revision the weights do not live on the state
-object: every live pair is a **row of the shared structure-of-arrays store**
-(:data:`repro.quantum.weightstore.STORE`), and ``BellPairState`` is a thin
-row handle.  The ``weights`` attribute is a property returning a view of the
-row, so the public surface (backends, QMM, apps, tests) is unchanged, while
-batch callers can evolve many pairs with one row-sliced numpy call through
-the store's API.
+Each state owns its weights as a length-4 float64 array in the ``weights``
+slot.  Every channel computes a fresh array and rebinds ``weights``; no
+operation writes into an existing array, so states may be built from
+shared, read-only inputs (the memoised link-pair weights) once
+:meth:`BellPairState.from_trusted_weights` has copied them.
 
 Exactness:
 
@@ -49,24 +47,23 @@ from .bell import bell_diagonal_dm
 from .channels import decoherence_probabilities
 from .qubit import Qubit
 from .states import QState
-from .weightstore import STORE, XOR_IDX
 
 #: Basis labels the measurement fast path understands.
 _PAULI_BASES = ("Z", "X", "Y")
 
-#: Backwards-compatible alias (the table moved to the weight store).
-_XOR_IDX = XOR_IDX
+#: ``XOR_IDX[k, i] = k ^ i`` — index table for Klein four-group convolutions
+#: and Pauli-frame permutations without Python loops.
+XOR_IDX = np.array([[k ^ i for i in range(4)] for k in range(4)])
 
 
 class BellPairState:
     """An entangled pair stored as Bell-basis weights.
 
     Mirrors the subset of the :class:`QState` interface the protocol stack
-    uses on link pairs; anything else triggers :meth:`promote`.  The weights
-    themselves live in a row of :data:`repro.quantum.weightstore.STORE`.
+    uses on link pairs; anything else triggers :meth:`promote`.
     """
 
-    __slots__ = ("_row", "qubits")
+    __slots__ = ("weights", "qubits")
 
     def __init__(self, weights: Sequence[float], qubits: Sequence[Qubit]):
         weights = np.asarray(weights, dtype=float)
@@ -77,11 +74,10 @@ class BellPairState:
         if len(qubits) != 2:
             raise ValueError("a Bell pair has exactly two qubits")
         weights = np.clip(weights, 0.0, None)
-        self._row = STORE.alloc(weights / weights.sum())
+        self.weights = weights / weights.sum()
         self.qubits = list(qubits)
         for qubit in self.qubits:
             if qubit.state is not None and qubit.state is not self:
-                self._release_row()
                 raise ValueError(f"{qubit.name} already belongs to another state")
             qubit.state = self
 
@@ -92,55 +88,16 @@ class BellPairState:
 
         The hot-path constructor: link-pair materialisation and swap output
         states pass weights that are normalised by construction, so the
-        validation arithmetic of ``__init__`` would be pure overhead.
+        validation arithmetic of ``__init__`` would be pure overhead.  The
+        weights are copied: callers pass memoised arrays that must never
+        change.
         """
         state = object.__new__(cls)
-        state._row = STORE.alloc(weights)
+        state.weights = weights.copy()
         state.qubits = list(qubits)
         for qubit in state.qubits:
             qubit.state = state
         return state
-
-    # ------------------------------------------------------------------
-    # Store plumbing
-    # ------------------------------------------------------------------
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Writable length-4 view of this pair's store row."""
-        return STORE._w[self._row]
-
-    @weights.setter
-    def weights(self, value) -> None:
-        STORE._w[self._row] = value
-
-    def _release_row(self) -> None:
-        """Return the store row (terminal operations and leak recovery)."""
-        row = self._row
-        if row >= 0:
-            self._row = -1
-            STORE.release(row)
-
-    def __del__(self):
-        # Normal consumption paths (measure, remove, promote, swap) release
-        # the row explicitly; this catches states dropped without one so the
-        # store cannot leak rows across long campaigns.
-        try:
-            self._release_row()
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-
-    def __getstate__(self):
-        # Row indices are process-local: a checkpoint carries the weights
-        # themselves, and restore re-allocates a fresh row in whatever store
-        # the unpickling process owns.
-        weights = (np.array(STORE._w[self._row]) if self._row >= 0 else None)
-        return (weights, self.qubits)
-
-    def __setstate__(self, state):
-        weights, qubits = state
-        self._row = STORE.alloc(weights) if weights is not None else -1
-        self.qubits = qubits
 
     # ------------------------------------------------------------------
     # Introspection (QState-compatible surface)
@@ -165,27 +122,25 @@ class BellPairState:
 
     def fidelity_to(self, bell_index: int) -> float:
         """Fidelity to Bell state ``bell_index`` — just a weight lookup."""
-        return float(STORE._w[self._row, int(bell_index) & 0b11])
+        return float(self.weights[int(bell_index) & 0b11])
 
     # ------------------------------------------------------------------
-    # Closed-family evolution (all O(1), in place on the store row)
+    # Closed-family evolution (all O(1); each rebinds ``weights``)
     # ------------------------------------------------------------------
 
     def apply_pauli(self, frame_index: int, qubit: Qubit) -> None:
         """Pauli ``X^b Z^a`` on one qubit: XOR-permutes the weights."""
         frame_index = int(frame_index) & 0b11
         if frame_index:
-            buf, row = STORE._w, self._row
-            buf[row] = buf[row][XOR_IDX[frame_index]]
+            self.weights = self.weights[XOR_IDX[frame_index]]
 
     def apply_dephasing(self, p: float, qubit: Qubit) -> None:
         """Phase-flip channel on one qubit: mixes each state with its
         phase-flipped partner (B0 ↔ B2, B1 ↔ B3)."""
         if p <= 0:
             return
-        buf, row = STORE._w, self._row
-        w = buf[row]
-        buf[row] = (1.0 - p) * w + p * w[[2, 3, 0, 1]]
+        w = self.weights
+        self.weights = (1.0 - p) * w + p * w[[2, 3, 0, 1]]
 
     def apply_depolarizing(self, p: float, qubit: Qubit) -> None:
         """Single-qubit depolarizing channel on one half of the pair."""
@@ -193,14 +148,12 @@ class BellPairState:
             return
         # Each non-identity Pauli (probability p/3) XOR-shifts the weights;
         # summing the three shifts of w[k] gives 1 − w[k].
-        buf, row = STORE._w, self._row
-        buf[row] = (1.0 - 4.0 * p / 3.0) * buf[row] + p / 3.0
+        self.weights = (1.0 - 4.0 * p / 3.0) * self.weights + p / 3.0
 
     def apply_two_qubit_depolarizing(self, p: float) -> None:
         """Two-qubit depolarizing noise across the pair (gate error model)."""
         if p > 0:
-            buf, row = STORE._w, self._row
-            buf[row] = _two_qubit_depolarized(buf[row], p)
+            self.weights = _two_qubit_depolarized(self.weights, p)
 
     def apply_decoherence(self, elapsed: float, t1: float, t2: float,
                           qubit: Qubit) -> None:
@@ -212,17 +165,16 @@ class BellPairState:
         if elapsed <= 0:
             return
         gamma, dephase_prob = decoherence_probabilities(elapsed, t1, t2)
-        buf, row = STORE._w, self._row
         if gamma > 0:
             root = math.sqrt(1.0 - gamma)
             same = (2.0 - gamma) / 4.0 + root / 2.0
             phase_partner = (2.0 - gamma) / 4.0 - root / 2.0
             parity_partner = gamma / 4.0
-            w = buf[row]
-            buf[row] = (same * w
-                        + phase_partner * w[[2, 3, 0, 1]]
-                        + parity_partner * (w[[1, 0, 3, 2]]
-                                            + w[[3, 2, 1, 0]]))
+            w = self.weights
+            self.weights = (same * w
+                            + phase_partner * w[[2, 3, 0, 1]]
+                            + parity_partner * (w[[1, 0, 3, 2]]
+                                                + w[[3, 2, 1, 0]]))
         self.apply_dephasing(dephase_prob, qubit)
 
     # ------------------------------------------------------------------
@@ -232,7 +184,7 @@ class BellPairState:
     def error_probability(self, basis: str) -> float:
         """Probability the two halves disagree with the Φ+ correlation
         pattern in a Pauli basis (Z/X correlated, Y anti-correlated)."""
-        w = STORE._w[self._row]
+        w = self.weights
         if basis == "Z":
             return float(w[1] + w[3])
         if basis == "X":
@@ -262,7 +214,6 @@ class BellPairState:
         qubit.state = None
         partner.state = None
         self.qubits = []
-        self._release_row()
         QState(partner_dm, [partner])
         return outcome
 
@@ -277,7 +228,6 @@ class BellPairState:
         qubit.state = None
         partner.state = None
         self.qubits = []
-        self._release_row()
         QState(np.eye(2, dtype=complex) / 2.0, [partner])
 
     def promote(self) -> QState:
@@ -292,7 +242,6 @@ class BellPairState:
         for qubit in qubits:
             qubit.state = None
         self.qubits = []
-        self._release_row()
         return QState(dm, qubits)
 
     def apply_unitary(self, unitary: np.ndarray, targets: Sequence[Qubit]) -> None:
@@ -331,7 +280,7 @@ def exact_state(qubit: Qubit) -> QState:
 
 def _two_qubit_depolarized(weights: np.ndarray, p: float) -> np.ndarray:
     """Two-qubit depolarizing closed form on Bell weights (shared by the
-    in-place channel and the swap fast path)."""
+    channel and the swap fast path)."""
     return (1.0 - 16.0 * p / 15.0) * weights + (16.0 * p / 15.0) / 4.0
 
 
@@ -353,9 +302,7 @@ def swap_measure(qubit_a: Qubit, qubit_b: Qubit, rng,
     :class:`BellPairState` pairs.  Both are consumed; the two remote halves
     are rebound to a fresh :class:`BellPairState` holding the XOR-convolved
     weights conditioned on the (uniformly sampled) true outcome — exactly
-    the law the exact engine follows for Bell-diagonal inputs.  The
-    convolution itself is the weight store's :meth:`~repro.quantum.
-    weightstore.BellWeightStore.swap_rows` row operation.
+    the law the exact engine follows for Bell-diagonal inputs.
 
     Returns the true two-bit outcome; readout mislabeling is a classical
     layer applied by the caller (a mislabeled outcome then makes tracking
@@ -369,10 +316,15 @@ def swap_measure(qubit_a: Qubit, qubit_b: Qubit, rng,
         raise ValueError("swap_measure needs two distinct pairs")
     remote_a = state_a.partner_of(qubit_a)
     remote_b = state_b.partner_of(qubit_b)
-    # XOR-convolution (Klein four-group) plus the measurement's gate-noise
-    # closed forms — see BellWeightStore.swap_rows for the derivation notes.
-    convolved = STORE.swap_rows(state_a._row, state_b._row,
-                                two_qubit_depolar, single_qubit_depolar)
+    # XOR-convolution over the Klein four-group: the output weight of Bell
+    # state k sums w_a[j] * w_b[k ^ j] over j.  This is the
+    # outcome-unconditioned law; the sampled outcome permutes it below.
+    convolved = state_b.weights[XOR_IDX] @ state_a.weights
+    if two_qubit_depolar > 0:
+        convolved = _two_qubit_depolarized(convolved, two_qubit_depolar)
+    if single_qubit_depolar > 0:
+        mix = 2.0 * single_qubit_depolar / 3.0
+        convolved = (1.0 - mix) * convolved + mix * convolved[XOR_IDX[2]]
     # The measured marginal is maximally mixed: all four outcomes are
     # equally likely regardless of the input weights.
     outcome = int(rng.random() * 4.0) & 0b11
@@ -381,8 +333,6 @@ def swap_measure(qubit_a: Qubit, qubit_b: Qubit, rng,
         qubit.state = None
     state_a.qubits = []
     state_b.qubits = []
-    state_a._release_row()
-    state_b._release_row()
     BellPairState.from_trusted_weights(weights, [remote_a, remote_b])
     return outcome
 

@@ -22,7 +22,12 @@ from repro.quantum.backends import (
     get_backend,
 )
 from repro.quantum.bell import BellIndex, swap_combine
-from repro.quantum.bellstate import BellPairState
+from repro.quantum.bellstate import (
+    XOR_IDX,
+    BellPairState,
+    create_bell_diagonal_pair,
+    swap_measure,
+)
 from repro.quantum.channels import (
     decoherence_kraus,
     dephasing_kraus,
@@ -195,6 +200,67 @@ def test_swap_outcomes_uniform_and_tracked():
     assert len(fidelities) == 1
     assert fidelities.pop() == pytest.approx(
         analytic.swap_weights(WEIGHTS, WEIGHTS)[0], abs=1e-12)
+
+
+class _FixedRng:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def _norm(weights):
+    arr = np.asarray(weights, dtype=float)
+    return arr / arr.sum()
+
+
+class TestSwapMeasure:
+    @pytest.mark.parametrize("outcome", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p2,p1", [(0.0, 0.0), (0.02, 0.005)])
+    def test_swap_measure_matches_manual_convolution(self, outcome, p2, p1):
+        wa = _norm((0.9, 0.04, 0.04, 0.02))
+        wb = _norm((0.8, 0.1, 0.05, 0.05))
+        qa0, qa1 = create_bell_diagonal_pair(wa)
+        qb0, qb1 = create_bell_diagonal_pair(wb)
+        # Manual closed form: XOR-convolution + gate noise + outcome frame.
+        convolved = np.array([
+            sum(wa[j] * wb[k ^ j] for j in range(4)) for k in range(4)])
+        convolved = ((1 - 16 * p2 / 15) * convolved + (16 * p2 / 15) / 4)
+        mix = 2 * p1 / 3
+        convolved = (1 - mix) * convolved + mix * convolved[XOR_IDX[2]]
+        expected = convolved[XOR_IDX[outcome]]
+
+        got_outcome = swap_measure(qa1, qb0, _FixedRng(outcome / 4.0),
+                                   two_qubit_depolar=p2,
+                                   single_qubit_depolar=p1)
+        assert got_outcome == outcome
+        new_state = qa0.state
+        assert isinstance(new_state, BellPairState)
+        assert new_state is qb1.state
+        np.testing.assert_allclose(new_state.weights, expected, atol=1e-9)
+        assert new_state.trace() == pytest.approx(1.0, abs=1e-9)
+        new_state.remove(qa0)
+
+
+def test_trusted_weights_are_copied():
+    """Link pairs are built from memoised read-only weight arrays; every
+    state must own a private copy that its channels evolve."""
+    from repro.hardware import HeraldedConnection, SIMULATION, SingleClickModel
+
+    model = SingleClickModel(SIMULATION, HeraldedConnection.lab(0.002))
+    make_pair = get_backend("bell").link_pair_factory(model, 0.05)
+    shared = model.produced_weights(0.05, BellIndex.PSI_PLUS)
+    before = shared.copy()
+    qubit_a, qubit_b = make_pair(BellIndex.PSI_PLUS, "a", "b")
+    twin_a, twin_b = make_pair(BellIndex.PSI_PLUS, "c", "d")
+    state = qubit_a.state
+    assert state.weights is not shared
+    assert state.weights is not twin_a.state.weights
+    state.apply_dephasing(0.2, qubit_a)
+    state.apply_pauli(1, qubit_b)
+    np.testing.assert_array_equal(shared, before)
+    np.testing.assert_array_equal(twin_a.state.weights, before)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ Four pillars:
   from the last durable checkpoint, and check no confirmed pair was
   duplicated or lost and the snapshot counter stream stayed monotone;
 * **round-trip properties** — the stateful primitives a checkpoint
-  carries (per-link numpy RNG block buffers, the scheduler heap, the
-  Bell weight store) continue identically after a pickle round trip;
+  carries (per-link numpy RNG block buffers, the scheduler heap, Bell
+  pair states) continue identically after a pickle round trip;
 * **envelope validation** — foreign, corrupt and version-mismatched
   files are rejected before any simulation state is deserialised.
 """
@@ -319,27 +319,20 @@ class TestRoundTripProperties:
         clone.post_at(clone.now + 1.0, clone_recorder, 99)
         assert clone.pool_hits == sim.pool_hits
 
-    def test_weightstore_round_trip(self):
-        from repro.quantum.weightstore import BellWeightStore
+    def test_bell_pair_round_trip(self):
+        from repro.quantum.bellstate import create_bell_diagonal_pair
 
-        store = BellWeightStore(capacity=4)
-        weights = [[0.85 + 0.01 * i, 0.05, 0.05, 0.05 - 0.01 * i]
-                   for i in range(6)]  # overflows capacity: forces a grow
-        rows = [store.alloc(w) for w in weights]
-        store.release(rows[1])
-        store.release(rows[4])
-        clone = pickle.loads(pickle.dumps(store))
-        for row in (rows[0], rows[2], rows[3], rows[5]):
-            np.testing.assert_array_equal(clone.row(row), store.row(row))
-        # Free-list order survives: both sides hand out the same rows.
-        fresh = [0.7, 0.1, 0.1, 0.1]
-        assert clone.alloc(fresh) == store.alloc(fresh)
-        assert clone.alloc(fresh) == store.alloc(fresh)
-        # And the state_dict/load_state pathway agrees with pickling.
-        rebuilt = BellWeightStore(capacity=4)
-        rebuilt.load_state(store.state_dict())
-        for row in (rows[0], rows[2], rows[3], rows[5]):
-            np.testing.assert_array_equal(rebuilt.row(row), store.row(row))
+        qubit_a, qubit_b = create_bell_diagonal_pair(
+            [0.85, 0.07, 0.05, 0.03], "a", "b")
+        qubit_a.state.apply_dephasing(0.1, qubit_a)
+        clone_a, clone_b = pickle.loads(pickle.dumps((qubit_a, qubit_b)))
+        state, twin = qubit_a.state, clone_a.state
+        assert twin is clone_b.state and twin.qubits == [clone_a, clone_b]
+        np.testing.assert_array_equal(twin.weights, state.weights)
+        # The clone evolves on its own array, bit for bit like the original.
+        state.apply_depolarizing(0.02, qubit_b)
+        twin.apply_depolarizing(0.02, clone_b)
+        np.testing.assert_array_equal(twin.weights, state.weights)
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +362,24 @@ class TestEnvelope:
         path.write_bytes(pickle.dumps(envelope))
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
+
+    def test_version_one_envelope_rejected(self, tmp_path):
+        # A file in the version-1 layout, whose envelope still carried the
+        # Bell weight store's peak occupancy.  Its engine blob is not a
+        # pickle, so deserialising it would fail with "corrupt engine
+        # state": the version check must come first.
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(pickle.dumps({
+            "magic": "repro-checkpoint", "version": 1,
+            "counters": {"request_ids": 0, "circuit_ids": 0,
+                         "qubit_ids": 0},
+            "store_peak_live": 15, "engine_blob": b"version-1 engine"}))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert "file has 1" in message
+        assert f"reads {CHECKPOINT_VERSION}" in message
+        assert CHECKPOINT_VERSION == 2
 
     def test_foreign_pickle_rejected(self, tmp_path):
         path = tmp_path / "foreign.ckpt"

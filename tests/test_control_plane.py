@@ -6,6 +6,7 @@ from repro.control import RouteError
 from repro.control.transport import make_reliable_pair
 from repro.core import CircuitRole, RequestStatus
 from repro.netsim import LossyChannel, MS, S, Simulator
+from repro.netsim.ports import subscribe
 from repro.network.builder import build_chain_network, build_dumbbell_network
 
 
@@ -144,8 +145,8 @@ class TestReliableTransport:
         channel = LossyChannel(sim, length_km=1.0, loss_probability=0.3)
         end_a, end_b = make_reliable_pair(sim, channel, rto=1 * MS)
         received = []
-        end_b.connect(received.append)
-        end_a.connect(lambda m: None)
+        subscribe(end_b.port("rx"), received.append)
+        subscribe(end_a.port("rx"), lambda m: None)
         for i in range(50):
             end_a.send(i)
         sim.run(until=5 * S)
@@ -157,8 +158,8 @@ class TestReliableTransport:
         channel = LossyChannel(sim, length_km=1.0, loss_probability=0.0)
         end_a, end_b = make_reliable_pair(sim, channel, rto=1 * MS)
         received = []
-        end_b.connect(received.append)
-        end_a.connect(lambda m: None)
+        subscribe(end_b.port("rx"), received.append)
+        subscribe(end_a.port("rx"), lambda m: None)
         for i in range(20):
             end_a.send(i)
         sim.run(until=1 * S)
@@ -170,8 +171,8 @@ class TestReliableTransport:
         channel = LossyChannel(sim, length_km=1.0, loss_probability=0.2)
         end_a, end_b = make_reliable_pair(sim, channel, rto=1 * MS)
         inbox_a, inbox_b = [], []
-        end_a.connect(inbox_a.append)
-        end_b.connect(inbox_b.append)
+        subscribe(end_a.port("rx"), inbox_a.append)
+        subscribe(end_b.port("rx"), inbox_b.append)
         for i in range(20):
             end_a.send(("to-b", i))
             end_b.send(("to-a", i))

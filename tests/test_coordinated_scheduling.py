@@ -6,6 +6,7 @@ from repro.core import RequestStatus, UserRequest
 from repro.hardware import HeraldedConnection, SIMULATION, SingleClickModel
 from repro.linklayer import Link
 from repro.netsim import S, Simulator
+from repro.netsim.ports import subscribe
 from repro.network import QuantumNode
 from repro.network.builder import build_dumbbell_network
 
@@ -29,8 +30,9 @@ class TestLinkPriorities:
             counts[delivery.purpose_id] += 1
             node_a.qmm.free(delivery.entanglement_id)
 
-        link.register_handler("a", consume)
-        link.register_handler("b", lambda d: node_b.qmm.free(d.entanglement_id))
+        subscribe(link.delivery_port("a"), consume)
+        subscribe(link.delivery_port("b"),
+                  lambda d: node_b.qmm.free(d.entanglement_id))
         link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
         link.set_request("vc1", min_fidelity=0.9, lpr=50.0)
         link.set_priority("vc1", "a", boosted=True)
@@ -46,8 +48,9 @@ class TestLinkPriorities:
             counts[delivery.purpose_id] += 1
             node_a.qmm.free(delivery.entanglement_id)
 
-        link.register_handler("a", consume)
-        link.register_handler("b", lambda d: node_b.qmm.free(d.entanglement_id))
+        subscribe(link.delivery_port("a"), consume)
+        subscribe(link.delivery_port("b"),
+                  lambda d: node_b.qmm.free(d.entanglement_id))
         link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
         link.set_request("vc1", min_fidelity=0.9, lpr=50.0)
         link.set_priority("vc1", "a", boosted=True)

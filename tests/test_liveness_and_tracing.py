@@ -10,12 +10,13 @@ from repro.network.builder import build_chain_network
 class TestChannelCut:
     def test_cut_channel_drops_messages(self):
         from repro.netsim import ClassicalChannel, Simulator
+        from repro.netsim.ports import subscribe
 
         sim = Simulator()
         channel = ClassicalChannel(sim, length_km=1.0)
         inbox = []
-        channel.ends[1].connect(inbox.append)
-        channel.ends[0].connect(lambda m: None)
+        subscribe(channel.port("b"), inbox.append)
+        subscribe(channel.port("a"), lambda m: None)
         channel.cut()
         channel.ends[0].send("lost")
         sim.run()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.control.routing import PATH_METRICS, RouteError
 from repro.core.requests import RequestStatus, UserRequest
+from repro.netsim.ports import subscribe
 from repro.network.builder import build_chain_network
 from repro.traffic import TrafficEngine, build_topology, fault_schedule
 
@@ -85,8 +86,10 @@ class TestLinkFailure:
             for name in ("node0", "node1"):
                 net.node(name).qmm.free(delivery.entanglement_id)
 
-        link.register_handler("node0", consume)
-        link.register_handler("node1", lambda d: None)
+        for name, handler in (("node0", consume), ("node1", lambda d: None)):
+            port = link.delivery_port(name)
+            port.disconnect()  # detach the network layer the builder wired
+            subscribe(port, handler)
         link.set_request("probe", min_fidelity=0.8, lpr=100.0)
         net.run(until_s=0.05)
         assert count[0] > 0

@@ -4,19 +4,13 @@
 The component-and-port layer made inter-component wiring explicit: every
 connection is a pair of typed ports joined by ``connect()``.  The old
 style — reaching into another object and assigning a callback attribute
-(``end._receiver = cb``) or calling one of the deprecated shim methods —
-bypasses protocol validation and hides the wiring again, so this lint
-bans it in ``src/repro`` (tests may still exercise the shims; they double
-as back-compat coverage).
+(``end._receiver = cb``) — bypasses protocol validation and hides the
+wiring again, so this lint bans it in ``src/repro``.
 
-Rules, enforced by AST walk:
-
-1. no assignment of a callback-ish attribute (``handler``, ``callback``,
-   ``receiver`` and underscore variants) on any object other than
-   ``self`` — storing *your own* constructor argument is fine, wiring
-   someone else's inbox is not;
-2. no calls to the deprecated shim methods ``register_handler`` /
-   ``attach_channel``.
+Rule, enforced by AST walk: no assignment of a callback-ish attribute
+(``handler``, ``callback``, ``receiver`` and underscore variants) on any
+object other than ``self`` — storing *your own* constructor argument is
+fine, wiring someone else's inbox is not.
 
 ``repro/netsim/ports.py`` is exempt (the one place allowed to touch
 ``Port.handler``), as is ``repro/netsim/scheduler.py``, whose pooled
@@ -38,7 +32,6 @@ BANNED_ATTRS = frozenset({
     "handler", "_handler", "handlers", "_handlers",
     "callback", "_callback", "receiver", "_receiver",
 })
-BANNED_CALLS = frozenset({"register_handler", "attach_channel"})
 ALLOWED_FILES = frozenset({"netsim/ports.py", "netsim/scheduler.py"})
 
 
@@ -68,12 +61,6 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
                            f"direct callback-attribute assignment "
                            f"'.{target.attr} = ...' — wire through "
                            f"repro.netsim.ports.connect() instead")
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in BANNED_CALLS:
-                report(node,
-                       f"call to deprecated shim '.{func.attr}()' — wire "
-                       f"through repro.netsim.ports.connect() instead")
     return problems
 
 
