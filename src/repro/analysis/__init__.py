@@ -10,8 +10,6 @@ from .experiments import (
 from .stats import (
     Cdf,
     LatencySummary,
-    P2Quantile,
-    ReservoirSample,
     mean,
     percentile,
     standard_error,
@@ -27,8 +25,6 @@ __all__ = [
     "attach_trace",
     "attach_tracer",
     "Cdf",
-    "P2Quantile",
-    "ReservoirSample",
     "LatencySummary",
     "mean",
     "percentile",

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -79,137 +78,6 @@ class Cdf:
         lo, hi = self.xs[0], self.xs[-1]
         step = (hi - lo) / (points - 1)
         return [(lo + i * step, self.at(lo + i * step)) for i in range(points)]
-
-
-@dataclass
-class P2Quantile:
-    """Bounded-memory streaming quantile estimator (P² algorithm).
-
-    Jain & Chlamtac's piecewise-parabolic estimator tracks one quantile
-    ``q`` (a probability in (0, 1)) with exactly five markers — five
-    heights plus five positions — regardless of how many samples it has
-    seen, so a soak run can report latency/fidelity percentiles without
-    keeping every sample alive the way :func:`percentile` requires.  The
-    first five observations are buffered and answered exactly; from the
-    sixth on the markers track the running quantile to within a small
-    bias (property-tested against :func:`percentile` in
-    ``tests/test_obs.py``).
-    """
-
-    q: float
-    count: int = 0
-    _heights: list[float] = field(default_factory=list)
-    _positions: list[float] = field(default_factory=list)
-    _desired: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("quantile probability must be in (0, 1)")
-
-    def observe(self, x: float) -> None:
-        """Fold one sample into the estimate (O(1) time and memory)."""
-        x = float(x)
-        self.count += 1
-        if self.count <= 5:
-            insort(self._heights, x)
-            if self.count == 5:
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * self.q, 1.0 + 4.0 * self.q,
-                                 3.0 + 2.0 * self.q, 5.0]
-            return
-        heights, positions = self._heights, self._positions
-        if x < heights[0]:
-            heights[0] = x
-            cell = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while x >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        increments = (0.0, self.q / 2.0, self.q, (1.0 + self.q) / 2.0, 1.0)
-        for i in range(5):
-            self._desired[i] += increments[i]
-        for i in (1, 2, 3):
-            gap = self._desired[i] - positions[i]
-            ahead = positions[i + 1] - positions[i]
-            behind = positions[i - 1] - positions[i]
-            if (gap >= 1.0 and ahead > 1.0) or (gap <= -1.0 and behind < -1.0):
-                step = 1.0 if gap >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not heights[i - 1] < candidate < heights[i + 1]:
-                    candidate = self._linear(i, step)
-                heights[i] = candidate
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate (exact while fewer than six samples seen)."""
-        if self.count == 0:
-            raise ValueError("P2Quantile.value() before any observation")
-        if self.count <= 5:
-            return percentile(self._heights, self.q * 100.0)
-        return self._heights[2]
-
-
-class ReservoirSample:
-    """Bounded-memory uniform sample of an unbounded stream (Algorithm R).
-
-    Complements :class:`P2Quantile`: where P² tracks one pre-chosen
-    quantile in O(1), a reservoir keeps ``capacity`` samples drawn
-    uniformly (without replacement) from everything observed so far, so
-    *any* quantile — or the whole empirical distribution — can be
-    estimated after the fact from a soak run too long to keep in memory.
-    Vitter's Algorithm R: the first ``capacity`` observations fill the
-    reservoir; observation ``n`` then replaces a random slot with
-    probability ``capacity / n``.  Deterministic for a given ``seed``.
-    """
-
-    def __init__(self, capacity: int, seed: int = 0):
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be at least 1")
-        self.capacity = capacity
-        self.count = 0
-        self._rng = random.Random(seed)
-        self._samples: list[float] = []
-
-    def observe(self, x: float) -> None:
-        """Fold one sample into the reservoir (O(1) time, O(capacity) memory)."""
-        self.count += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(float(x))
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self._samples[slot] = float(x)
-
-    def samples(self) -> list[float]:
-        """The current reservoir contents (a copy, unsorted)."""
-        return list(self._samples)
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (q in (0, 1)) from the reservoir."""
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile probability must be in (0, 1)")
-        if not self._samples:
-            raise ValueError("ReservoirSample.quantile() before any observation")
-        return percentile(self._samples, q * 100.0)
-
-    def __len__(self) -> int:
-        return len(self._samples)
 
 
 def throughput(event_times: Sequence[float], window: tuple[float, float]) -> float:

@@ -265,6 +265,18 @@ class Simulator:
         """Run until no events remain."""
         self.run(until=None)
 
+    def peek_time(self) -> Optional[float]:
+        """Time of the next live event, or None when none is queued.
+
+        Cancelled heads are discarded with the same accounting as
+        :meth:`run`, so :meth:`pending_events` stays exact.
+        """
+        queue = self._queue
+        while queue and queue[0].cancelled:
+            heapq.heappop(queue)
+            self._cancelled -= 1
+        return queue[0].time if queue else None
+
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events — O(1)."""
         return len(self._queue) - self._cancelled

@@ -673,14 +673,9 @@ class Network:
 
     def _step(self, limit: Optional[float] = None) -> None:
         """Advance the simulation by one event batch."""
-        queue = self.sim._queue
-        while queue and queue[0].cancelled:
-            import heapq
-
-            heapq.heappop(queue)
-        if not queue:
+        target = self.sim.peek_time()
+        if target is None:
             return
-        target = queue[0].time
         if limit is not None:
             target = min(target, limit)
         self.sim.run(until=target)

@@ -3,9 +3,9 @@
 The telemetry seam of the repository.  Every network owns a
 :class:`MetricsRegistry` (``net.obs``) into which the scheduler, link
 layer, QNP, policer/arbiter, traffic engine and applications publish
-counters, gauges and bounded-memory histograms; a
-:class:`SnapshotEmitter` streams the registry to JSONL on a simulated
-clock; and :class:`~repro.analysis.tracing.SpanTracer` (re-exported
+counters, gauges and log-bucket histograms (quantiles within 1/128
+relative error); a :class:`SnapshotEmitter` streams the registry to
+JSONL on a simulated clock; and :class:`~repro.analysis.tracing.SpanTracer` (re-exported
 here) upgrades the flat protocol trace to a causal span tree.  See the
 DESIGN "Observability" section for the overall shape and overhead
 budget.

@@ -11,10 +11,10 @@ Two publication styles coexist:
   default for everything the simulator already counts: zero hot-path
   cost, the registry only pays at snapshot time.
 * **push** — counters without a source are incremented explicitly
-  (``counter.inc()``), and histograms fold samples into
-  :class:`~repro.analysis.stats.P2Quantile` estimators as they arrive, so
-  quantiles stay available without keeping the samples (bounded memory —
-  five markers per tracked quantile, independent of sample count).
+  (``counter.inc()``), and histograms count samples into fixed
+  log-linear buckets as they arrive, so quantiles stay available, within
+  1/128 relative error, without keeping the samples (memory grows with
+  the value range covered, not with the sample count).
 
 ``snapshot()`` flattens everything into one ``{name: value}`` dict: plain
 numbers for counters and gauges, a ``{count, mean, min, max, p5, …}``
@@ -25,12 +25,15 @@ from.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import math
+from typing import Callable, Optional
 
-from ..analysis.stats import P2Quantile
-
-#: Quantiles a histogram tracks by default (reported as p5/p50/p95/p99).
+#: Quantiles every histogram reports (as p5/p50/p95/p99).
 DEFAULT_QUANTILES = (0.05, 0.50, 0.95, 0.99)
+
+#: Key of the zero bucket: below every positive sample's key (the
+#: smallest positive float, 5e-324, has frexp exponent -1073).
+_ZERO_BUCKET = -1 << 20
 
 
 class Counter:
@@ -86,35 +89,46 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming distribution summary with P² quantile estimators.
+    """Streaming distribution summary on fixed log-linear buckets.
 
-    Tracks count/sum/min/max exactly and each configured quantile with a
-    five-marker :class:`~repro.analysis.stats.P2Quantile` — memory is
-    fixed no matter how many samples are observed.
+    Tracks count/sum/min/max exactly.  Each positive sample lands in one
+    of 64 equal-width buckets of its octave ``[2**(e-1), 2**e)``, keyed
+    ``e * 64 + sub-bucket``; zeros share one zero bucket.  A quantile is
+    the midpoint of the bucket holding the nearest-rank order statistic,
+    so it is within 1/128 of the exact value, relative to that value.
+    Memory grows with the number of occupied buckets (at most 64 per
+    octave the samples span), never with the number of samples.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "_quantiles")
+    __slots__ = ("name", "count", "total", "min", "max", "_buckets")
 
-    def __init__(self, name: str,
-                 quantiles: Sequence[float] = DEFAULT_QUANTILES):
+    def __init__(self, name: str):
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._quantiles = {q: P2Quantile(q) for q in quantiles}
+        self._buckets: dict[int, int] = {}
 
     def observe(self, x: float) -> None:
-        """Fold one sample into the summary (O(1) time and memory)."""
+        """Fold one finite, non-negative sample into the summary."""
         x = float(x)
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"histogram {self.name!r} takes finite "
+                             f"non-negative samples, got {x!r}")
         self.count += 1
         self.total += x
         if x < self.min:
             self.min = x
         if x > self.max:
             self.max = x
-        for estimator in self._quantiles.values():
-            estimator.observe(x)
+        if x:
+            mantissa, exponent = math.frexp(x)
+            key = exponent * 64 + int((mantissa - 0.5) * 128)
+        else:
+            key = _ZERO_BUCKET
+        buckets = self._buckets
+        buckets[key] = buckets.get(key, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -122,8 +136,26 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Current estimate for tracked quantile ``q``."""
-        return self._quantiles[q].value()
+        """Nearest-rank ``q``-quantile for any ``q`` in (0, 1].
+
+        Estimates ``sorted(samples)[ceil(q * count) - 1]`` by the
+        midpoint of its bucket, clamped to the exact ``[min, max]``.
+        """
+        if not 0.0 < q <= 1.0:
+            raise ValueError("quantile probability must be in (0, 1]")
+        if not self.count:
+            raise ValueError(f"histogram {self.name!r} has no samples")
+        rank = math.ceil(q * self.count)
+        seen = 0
+        for key in sorted(self._buckets):
+            seen += self._buckets[key]
+            if seen >= rank:
+                break
+        if key == _ZERO_BUCKET:
+            return 0.0
+        exponent, sub = divmod(key, 64)
+        midpoint = math.ldexp(0.5 + (sub + 0.5) / 128, exponent)
+        return min(max(midpoint, self.min), self.max)
 
     def to_dict(self) -> dict:
         """Snapshot representation: count/mean/min/max plus quantiles."""
@@ -131,8 +163,8 @@ class Histogram:
             return {"count": 0}
         summary = {"count": self.count, "mean": self.mean,
                    "min": self.min, "max": self.max}
-        for q, estimator in sorted(self._quantiles.items()):
-            summary[f"p{q * 100:g}"] = estimator.value()
+        for q in DEFAULT_QUANTILES:
+            summary[f"p{q * 100:g}"] = self.quantile(q)
         return summary
 
 
@@ -169,11 +201,9 @@ class MetricsRegistry:
         """Get or create the gauge ``name``."""
         return self._get_or_create(name, Gauge, lambda: Gauge(name, source))
 
-    def histogram(self, name: str,
-                  quantiles: Sequence[float] = DEFAULT_QUANTILES) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """Get or create the histogram ``name``."""
-        return self._get_or_create(name, Histogram,
-                                   lambda: Histogram(name, quantiles))
+        return self._get_or_create(name, Histogram, lambda: Histogram(name))
 
     def names(self) -> list[str]:
         """All registered instrument names, sorted."""

@@ -31,7 +31,7 @@ from typing import Optional
 
 #: Format version; bump on any layout change.  Loading rejects other
 #: versions before deserialising any simulation state.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _MAGIC = "repro-checkpoint"
 

@@ -379,7 +379,24 @@ class TestEnvelope:
         message = str(excinfo.value)
         assert "file has 1" in message
         assert f"reads {CHECKPOINT_VERSION}" in message
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
+
+    def test_version_two_envelope_rejected(self, tmp_path):
+        # A file in the version-2 layout, whose pickled histograms still
+        # carried P² quantile estimators.  Its engine blob is not a
+        # pickle, so deserialising it would fail with "corrupt engine
+        # state": the version check must come first.
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(pickle.dumps({
+            "magic": "repro-checkpoint", "version": 2,
+            "counters": {"request_ids": 0, "circuit_ids": 0,
+                         "qubit_ids": 0},
+            "engine_blob": b"version-2 engine"}))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert "file has 2" in message
+        assert f"reads {CHECKPOINT_VERSION}" in message
 
     def test_foreign_pickle_rejected(self, tmp_path):
         path = tmp_path / "foreign.ckpt"

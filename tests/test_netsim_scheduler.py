@@ -227,3 +227,32 @@ def test_events_processed_counter():
         sim.schedule(1 * MS, lambda: None)
     sim.run()
     assert sim.events_processed == 4
+
+
+def test_peek_time_discards_cancelled_heads():
+    sim = Simulator()
+    assert sim.peek_time() is None
+    head = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    head.cancel()
+    assert sim.peek_time() == 2.0
+    assert sim.heap_size == 1
+    assert sim.pending_events() == 1
+
+
+def test_network_step_keeps_pending_count_exact():
+    # Network._step skips cancelled heads before choosing its stop time;
+    # that must go through the scheduler's cancel accounting, or
+    # pending_events() under-counts and install/run_until_complete stop
+    # while live events remain.
+    from repro.traffic import build_topology
+
+    net = build_topology("grid", 2, seed=7, formalism="bell")
+    sim = net.sim
+    head = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    head.cancel()
+    net._step()
+    live = sum(1 for handle in sim._queue if not handle.cancelled)
+    assert sim.pending_events() == live == 0
+    assert sim.now == 2.0

@@ -1,21 +1,24 @@
-"""Tests for repro.obs: P² quantiles, registry, snapshots, span traces."""
+"""Tests for repro.obs: histograms, registry, snapshots, span traces."""
 
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis.stats import Cdf, P2Quantile, ReservoirSample, percentile
+from repro.analysis.stats import Cdf
 from repro.obs import (
     REQUIRED_SERIES,
     Counter,
+    Histogram,
     MetricsRegistry,
     SpanTracer,
     missing_series,
     read_snapshots,
     summarise,
 )
+from repro.obs.registry import DEFAULT_QUANTILES
 
 
 def _build_grid(side=3, seed=7, formalism="dm"):
@@ -25,7 +28,7 @@ def _build_grid(side=3, seed=7, formalism="dm"):
 
 
 # ----------------------------------------------------------------------
-# P² streaming quantile estimator
+# Log-bucket histogram
 # ----------------------------------------------------------------------
 
 DISTRIBUTIONS = {
@@ -36,123 +39,52 @@ DISTRIBUTIONS = {
 }
 
 
-class TestP2Quantile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-        with pytest.raises(ValueError):
-            P2Quantile(-0.5)
-
-    def test_exact_below_five_samples(self):
-        # With fewer observations than markers the estimator keeps the
-        # raw samples and must agree with the exact percentile.
-        for n in range(1, 6):
-            est = P2Quantile(0.5)
-            samples = [float(v) for v in range(n)]
-            for value in samples:
-                est.observe(value)
-            assert est.value() == pytest.approx(percentile(samples, 50))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.5).value()
-
-    @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
-    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95, 0.99])
-    def test_tracks_exact_percentile(self, dist, q):
-        # Property: across distribution shapes the P² estimate stays
-        # within a few percent of the sample range of the exact
-        # percentile (the estimator's documented accuracy regime).
-        rng = random.Random(hash((dist, q)) & 0xFFFF)
-        draw = DISTRIBUTIONS[dist]
-        est = P2Quantile(q)
-        samples = []
-        for _ in range(5000):
-            value = draw(rng)
-            samples.append(value)
-            est.observe(value)
-        exact = percentile(samples, q * 100)
-        span = max(samples) - min(samples)
-        assert abs(est.value() - exact) <= 0.03 * span
-
-    def test_bounded_memory(self):
-        # The whole point: state stays at five markers no matter how
-        # many observations stream through.
-        rng = random.Random(3)
-        est = P2Quantile(0.95)
-        for _ in range(50_000):
-            est.observe(rng.expovariate(1.0))
-        assert est.count == 50_000
-        assert len(est._heights) == 5
-        assert len(est._positions) == 5
-        assert len(est._desired) == 5
-
-    def test_monotone_markers(self):
-        rng = random.Random(11)
-        est = P2Quantile(0.5)
-        for _ in range(2000):
-            est.observe(rng.gauss(0, 1))
-        assert est._heights == sorted(est._heights)
+@st.composite
+def _non_negative_samples(draw):
+    """Non-negative samples with zeros and duplicates mixed in."""
+    shape = DISTRIBUTIONS[draw(st.sampled_from(sorted(DISTRIBUTIONS)))]
+    n = draw(st.one_of(st.integers(1, 5), st.integers(6, 2000)))
+    zeros = draw(st.floats(0.0, 0.5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < zeros:
+            samples.append(0.0)
+        elif samples and roll < zeros + 0.2:
+            samples.append(rng.choice(samples))
+        else:
+            samples.append(abs(shape(rng)))
+    return samples
 
 
-class TestReservoirSample:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReservoirSample(0)
-        with pytest.raises(ValueError):
-            ReservoirSample(100).quantile(0.0)
-        with pytest.raises(ValueError):
-            ReservoirSample(100).quantile(0.5)
-
-    def test_exact_below_capacity(self):
-        res = ReservoirSample(10)
-        for value in range(7):
-            res.observe(value)
-        assert sorted(res.samples()) == [float(v) for v in range(7)]
-        assert res.quantile(0.5) == pytest.approx(3.0)
-
-    def test_bounded_memory(self):
-        res = ReservoirSample(64, seed=3)
-        for value in range(50_000):
-            res.observe(value)
-        assert res.count == 50_000
-        assert len(res) == 64
-
-    def test_deterministic_for_seed(self):
-        def fill(seed):
-            res = ReservoirSample(32, seed=seed)
-            for value in range(10_000):
-                res.observe(value)
-            return res.samples()
-
-        assert fill(5) == fill(5)
-        assert fill(5) != fill(6)
-
-    def test_uniform_over_stream(self):
-        # Property: the reservoir is a uniform draw, so the estimated
-        # median of 0..N-1 lands near N/2 (averaged over reservoirs).
-        estimates = [ReservoirSample(256, seed=s) for s in range(8)]
-        for value in range(20_000):
-            for res in estimates:
-                res.observe(value)
-        medians = [res.quantile(0.5) for res in estimates]
-        assert abs(sum(medians) / len(medians) - 10_000) < 1_500
-
-    @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
-    def test_tracks_exact_percentile(self, dist):
-        rng = random.Random(hash(dist) & 0xFFFF)
-        draw = DISTRIBUTIONS[dist]
-        res = ReservoirSample(1024, seed=1)
-        samples = []
-        for _ in range(20_000):
-            value = draw(rng)
-            samples.append(value)
-            res.observe(value)
-        exact = percentile(samples, 95)
-        span = max(samples) - min(samples)
-        assert abs(res.quantile(0.95) - exact) <= 0.05 * span
+@settings(max_examples=60, deadline=None)
+@given(samples=_non_negative_samples(), q_extra=st.floats(1e-6, 1.0))
+def test_histogram_quantiles_within_bucket_error(samples, q_extra):
+    # Property: every quantile is the nearest-rank order statistic to
+    # within the bucket's 1/128 relative error (zero exactly), and the
+    # reported p5..p99 are ordered inside the exact [min, max].
+    hist = Histogram("samples")
+    for value in samples:
+        hist.observe(value)
+    ordered = sorted(samples)
+    for q in (*DEFAULT_QUANTILES, q_extra, 1.0):
+        exact = ordered[math.ceil(q * len(ordered)) - 1]
+        estimate = hist.quantile(q)
+        if exact == 0.0:
+            assert estimate == 0.0
+        else:
+            assert abs(estimate - exact) <= exact / 128
+    row = hist.to_dict()
+    assert row["count"] == len(samples)
+    assert (row["min"], row["max"]) == (ordered[0], ordered[-1])
+    assert (row["min"] <= row["p5"] <= row["p50"] <= row["p95"]
+            <= row["p99"] <= row["max"])
+    with pytest.raises(ValueError):
+        hist.observe(-1.0)
+    with pytest.raises(ValueError):
+        hist.quantile(0)
+    assert hist.count == len(samples)
 
 
 class TestCdfAt:
