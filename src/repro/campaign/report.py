@@ -6,9 +6,8 @@ serialises to ``CAMPAIGN_<rev>.json`` so studies are diffable across
 revisions the same way ``BENCH_<rev>.json`` tracks the perf trajectory.
 
 Everything rendered or serialised here is a pure function of the spec
-and the cell results — no wall-clock times, worker counts or
-process-global labels — which is what lets a sharded run's report be
-byte-identical to the serial run's.
+and the cell results — no wall-clock times or worker counts — which is
+what lets a sharded run's report be byte-identical to the serial run's.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ to ``workers=1`` for the same spec.  Two rules keep that true:
 
 * every cell is self-contained in its parameters — the network seed, the
   workload seed and the fault stream all derive from the cell's ``seed``;
-* :class:`CellResult` carries *counts and rates only*, never process-level
-  labels (circuit IDs draw from a process-global counter, which differs
-  between a fresh pool worker and a long-lived serial process).
+* :class:`CellResult` carries *counts and rates only*, never wall-clock
+  numbers (circuit and request IDs are per simulation, so they would
+  label a cell identically in any worker).
 
 A cell that fails to install (e.g. more circuits than a small topology
 can route) records its error string instead of sinking the campaign —

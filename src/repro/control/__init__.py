@@ -9,7 +9,7 @@ from .routing import (
     SHORT_CUTOFF_QUANTILE,
 )
 from .liveness import LivenessAgent
-from .signalling import SignallingAgent, allocate_circuit_id
+from .signalling import SignallingAgent
 from .transport import ReliableEnd, make_reliable_pair
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "LOSS_CUTOFF_FRACTION",
     "SHORT_CUTOFF_QUANTILE",
     "SignallingAgent",
-    "allocate_circuit_id",
     "ReliableEnd",
     "make_reliable_pair",
 ]

@@ -19,15 +19,7 @@ from typing import Callable, Optional
 from ..core.circuit import RoutingEntry
 from ..netsim.entity import Entity
 from ..netsim.ports import Component, connect
-from ..netsim.scheduler import SerialCounter
 from ..network.node import QuantumNode, service_protocol
-
-_circuit_ids = SerialCounter()
-
-
-def allocate_circuit_id(head: str, tail: str) -> str:
-    """A globally unique, human-readable virtual-circuit identifier."""
-    return f"vc{next(_circuit_ids)}:{head}->{tail}"
 
 
 @dataclass

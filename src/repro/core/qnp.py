@@ -209,6 +209,8 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         if runtime.entry.role != CircuitRole.HEAD:
             raise ValueError("requests must be submitted at the head-end node "
                              "(tail-end applications forward them there)")
+        if request.request_id is None:
+            request.request_id = self.sim.next_id("req")
         handle = RequestHandle(request, runtime.entry.estimated_fidelity)
         handle.t_submitted = self.now
         record = RequestRecord(

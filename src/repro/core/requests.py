@@ -18,19 +18,11 @@ class of service:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ..netsim.scheduler import SerialCounter
 from ..quantum.bell import BellIndex
-
-_request_ids = SerialCounter()
-
-
-def _next_request_id() -> str:
-    """Allocate the next globally unique ``req<N>`` identifier."""
-    return f"req{next(_request_ids)}"
 
 
 class RequestType(Enum):
@@ -80,7 +72,9 @@ class UserRequest:
     #: If set, the head-end Pauli-corrects pairs into this Bell state
     #: (unavailable for EARLY requests).
     final_state: Optional[BellIndex] = None
-    request_id: str = field(default_factory=_next_request_id)
+    #: ``None`` until submission, which names the request ``req<N>`` from
+    #: the simulation's own stream; an explicit identifier is kept as given.
+    request_id: Optional[str] = None
 
     def __post_init__(self):
         if self.num_pairs is None and self.rate is None:

@@ -48,11 +48,14 @@ _POOL_LIMIT = 4096
 class SerialCounter:
     """Picklable drop-in for :func:`itertools.count`.
 
-    The kernel and several protocol layers hand out monotonically increasing
-    serial numbers (event sequence numbers, correlators, request and circuit
-    identifiers).  ``itertools.count`` cannot be serialised (pickling it is
-    deprecated since Python 3.12), so durable checkpoints use this two-line
-    counter instead; ``next(counter)`` keeps every call site unchanged.
+    The kernel and the link layer hand out monotonically increasing serial
+    numbers (event sequence numbers, correlators, and the request and
+    circuit identifiers of :meth:`Simulator.next_id`).  Every counter is
+    owned by an object of one simulation, never by a module, so a run's
+    numbering cannot depend on what else ran in the process.
+    ``itertools.count`` cannot be serialised (pickling it is deprecated
+    since Python 3.12), so durable checkpoints use this two-line counter
+    instead; ``next(counter)`` keeps every call site unchanged.
     """
 
     __slots__ = ("value",)
@@ -155,6 +158,8 @@ class Simulator:
         self.pool_hits = 0
         self.rng = random.Random(seed)
         self.seed = seed
+        #: Per-prefix identifier streams (:meth:`next_id`).
+        self._ids: dict[str, SerialCounter] = {}
 
     @property
     def now(self) -> float:
@@ -170,6 +175,18 @@ class Simulator:
     def heap_size(self) -> int:
         """Raw heap length, cancelled entries included (for diagnostics)."""
         return len(self._queue)
+
+    def next_id(self, prefix: str) -> str:
+        """The next ``"<prefix><N>"`` identifier of this simulation.
+
+        Each prefix (``req``, ``vc``, …) counts from 0 per simulator, so
+        identifiers depend only on the run, and a checkpoint carries their
+        positions with the rest of the pickled kernel.
+        """
+        counter = self._ids.get(prefix)
+        if counter is None:
+            counter = self._ids[prefix] = SerialCounter()
+        return f"{prefix}{next(counter)}"
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
@@ -298,11 +315,6 @@ class Simulator:
         self._queue[:] = [handle for handle in self._queue
                           if not handle.cancelled]
         heapq.heapify(self._queue)
-        self._cancelled = 0
-
-    def reset_time_guard(self) -> None:  # pragma: no cover - debugging aid
-        """Drop all pending events (used by a few torture tests)."""
-        self._queue.clear()
         self._cancelled = 0
 
     def __getstate__(self) -> dict:

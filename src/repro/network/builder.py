@@ -24,7 +24,7 @@ import networkx as nx
 
 from ..control.liveness import LivenessAgent
 from ..control.routing import CentralController, RouteComputation
-from ..control.signalling import SignallingAgent, allocate_circuit_id
+from ..control.signalling import SignallingAgent
 from ..core.qnp import QNPNode
 from ..core.requests import (
     DeliveryStatus,
@@ -345,7 +345,8 @@ class Network:
                        on_ready=None) -> str:
         """Start the PATH/RESV handshake for a route without driving the
         simulation; ``on_ready`` fires when the RESV reaches the head."""
-        circuit_id = allocate_circuit_id(route.path[0], route.path[-1])
+        circuit_id = (f"{self.sim.next_id('vc')}:"
+                      f"{route.path[0]}->{route.path[-1]}")
         entries = self.controller.build_entries(circuit_id, route, max_eer)
         if self.tracer is not None:
             on_ready = self._trace_install(circuit_id, route, entries,
@@ -538,10 +539,13 @@ class Network:
         :class:`MatchedPair` the moment both halves were seen (fidelity
         already recorded), and a truthy return means the consumer took
         ownership of the pair's qubits — the façade then skips its own
-        state cleanup for that pair.
+        state cleanup for that pair.  A request without an identifier is
+        named ``req<N>`` from this network's simulator.
         """
         route = self.route_of(circuit_id)
         head, tail = route.path[0], route.path[-1]
+        if request.request_id is None:
+            request.request_id = self.sim.next_id("req")
         if self.tracer is not None:
             self.tracer.begin("session", head, self.sim.now,
                               key=("session", request.request_id),

@@ -7,6 +7,10 @@ QNP/circuit/policer/arbiter state, traffic sessions and
 the metrics registry — into one versioned, atomically written file, and
 back.  See :func:`save_checkpoint` / :func:`load_checkpoint` and the
 "Checkpointing & long-horizon soak" section of DESIGN.md.
+
+Checkpoints are pickles, and :func:`load_checkpoint` unpickles the outer
+envelope before it can check the magic string and version.  Unpickling
+runs code, so load only checkpoint files you wrote yourself.
 """
 
 from .checkpoint import (

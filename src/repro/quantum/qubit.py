@@ -11,12 +11,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
-from ..netsim.scheduler import SerialCounter
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .states import QState
-
-_qubit_ids = SerialCounter()
 
 
 class Qubit:
@@ -33,10 +29,10 @@ class Qubit:
     __slots__ = ("name", "state", "t1", "t2", "last_noise_time", "owner")
 
     def __init__(self, name: str = "", t1: float = math.inf, t2: float = math.inf):
-        # Auto-named qubits draw from the shared counter; named ones (the
-        # link layer's hot path) skip it — one fewer call per materialised
-        # pair.
-        self.name = name or f"q{next(_qubit_ids)}"
+        # The name only labels reprs and error messages; the link layer
+        # names every qubit it materialises (``link:seq@node``), the rest
+        # share the placeholder.
+        self.name = name or "q"
         self.state: Optional["QState"] = None
         self.t1 = t1
         self.t2 = t2

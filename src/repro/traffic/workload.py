@@ -846,7 +846,8 @@ class TrafficEngine:
         if circuit.lost:
             # The circuit is gone and not coming back: account the
             # arrival as LOST instead of leaving the session hanging.
-            request = UserRequest(num_pairs=spec.num_pairs)
+            request = UserRequest(num_pairs=spec.num_pairs,
+                                  request_id=self.net.sim.next_id("req"))
             handle = RequestHandle(request, 0.0)
             handle.t_submitted = self.net.sim.now
             handle.status = RequestStatus.ABORTED

@@ -41,23 +41,6 @@ from repro.traffic.workload import TrafficEngine
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _reset_counters():
-    """Zero the process-global ID streams so runs label identically.
-
-    Circuit/request/qubit IDs draw from module-level counters; two
-    in-process runs would otherwise disagree on labels like ``vc3``
-    (checkpoint *resume* restores these exactly, so only fresh
-    comparison runs need the reset).
-    """
-    from repro.control import signalling
-    from repro.core import requests
-    from repro.quantum import qubit
-
-    requests._request_ids.value = 0
-    signalling._circuit_ids.value = 0
-    qubit._qubit_ids.value = 0
-
-
 def _run_with_checkpoints(tmp_path, tag, *, formalism="bell",
                           topology="grid", size=3, circuits=3, load=0.5,
                           horizon=0.8, drain=0.4, interval=0.25,
@@ -70,7 +53,6 @@ def _run_with_checkpoints(tmp_path, tag, *, formalism="bell",
     after each durable write (the live file is overwritten in place, so
     the copies are what lets the test resume from *intermediate* times).
     """
-    _reset_counters()
     net = build_topology(topology, size, seed=7, formalism=formalism)
     live = tmp_path / f"{tag}.ckpt"
     engine = TrafficEngine(
@@ -143,7 +125,6 @@ class TestResumeEquivalence:
             assert resumed.resume_run().render() == want
 
     def test_resume_requires_a_run(self, tmp_path):
-        _reset_counters()
         net = build_topology("ring", 4, seed=5, formalism="bell")
         engine = TrafficEngine(net, circuits=2, load=0.5, seed=5)
         with pytest.raises(RuntimeError, match="never ran"):
@@ -272,7 +253,6 @@ class TestRoundTripProperties:
         # Warm each per-link block buffer mid-block, round-trip the whole
         # network, and demand the continued uniform streams agree draw
         # for draw (same bit stream, not merely close).
-        _reset_counters()
         net = build_topology("grid", 3, seed=11, formalism="bell")
         links = [net.links[name] for name in sorted(net.links)]
         for link in links:
@@ -340,7 +320,6 @@ class TestRoundTripProperties:
 # ----------------------------------------------------------------------
 
 def _tiny_engine():
-    _reset_counters()
     net = build_topology("ring", 4, seed=5, formalism="bell")
     return TrafficEngine(net, circuits=2, load=0.5, seed=5)
 
@@ -379,7 +358,6 @@ class TestEnvelope:
         message = str(excinfo.value)
         assert "file has 1" in message
         assert f"reads {CHECKPOINT_VERSION}" in message
-        assert CHECKPOINT_VERSION == 3
 
     def test_version_two_envelope_rejected(self, tmp_path):
         # A file in the version-2 layout, whose pickled histograms still
@@ -397,6 +375,31 @@ class TestEnvelope:
         message = str(excinfo.value)
         assert "file has 2" in message
         assert f"reads {CHECKPOINT_VERSION}" in message
+
+    def test_version_three_envelope_rejected(self, tmp_path):
+        # A file in the version-3 layout, whose envelope still carried the
+        # process-global request/circuit/qubit ID counters.  Its engine
+        # blob is not a pickle, so deserialising it would fail with
+        # "corrupt engine state": the version check must come first.
+        path = tmp_path / "v3.ckpt"
+        path.write_bytes(pickle.dumps({
+            "magic": "repro-checkpoint", "version": 3,
+            "counters": {"request_ids": 0, "circuit_ids": 0,
+                         "qubit_ids": 0},
+            "engine_blob": b"version-3 engine"}))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert "file has 3" in message
+        assert f"reads {CHECKPOINT_VERSION}" in message
+        assert CHECKPOINT_VERSION == 4
+
+    def test_envelope_carries_no_counters(self, tmp_path):
+        # ID streams live in the pickled simulator, not beside it.
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(_tiny_engine(), path)
+        assert set(pickle.loads(path.read_bytes())) == {
+            "magic", "version", "engine_blob"}
 
     def test_foreign_pickle_rejected(self, tmp_path):
         path = tmp_path / "foreign.ckpt"
@@ -456,7 +459,6 @@ class TestSteadyDetection:
     def test_stream_carries_the_flag(self, tmp_path):
         from repro.obs import read_snapshots
 
-        _reset_counters()
         net = build_topology("grid", 3, seed=7, formalism="bell")
         out = tmp_path / "steady.jsonl"
         engine = TrafficEngine(net, circuits=3, load=0.5, seed=7,

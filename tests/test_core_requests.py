@@ -12,6 +12,7 @@ from repro.core import (
     UserRequest,
 )
 from repro.netsim.units import S
+from repro.network.builder import build_chain_network
 from repro.quantum import BellIndex
 
 
@@ -52,7 +53,20 @@ class TestUserRequest:
         assert request.minimum_eer() == pytest.approx(4.0)
 
     def test_unique_request_ids(self):
-        assert UserRequest(num_pairs=1).request_id != UserRequest(num_pairs=1).request_id
+        # Identifiers are per simulation: each network numbers its own
+        # submissions from req0, whatever ran before it in the process.
+        def submitted_ids(submits):
+            net = build_chain_network(2, seed=3, formalism="bell")
+            circuit_id = net.establish_circuit("node0", "node1", 0.7, "short")
+            return [net.submit(circuit_id, UserRequest(num_pairs=1)).request_id
+                    for _ in range(submits)]
+
+        assert submitted_ids(2) == ["req0", "req1"]
+        assert submitted_ids(1) == ["req0"]
+
+    def test_explicit_request_id_kept(self):
+        assert UserRequest(num_pairs=1).request_id is None
+        assert UserRequest(num_pairs=1, request_id="mine").request_id == "mine"
 
     def test_handle_latency(self):
         handle = RequestHandle(UserRequest(num_pairs=1))
@@ -157,28 +171,28 @@ class TestDemultiplexer:
 class TestPolicer:
     def test_accepts_within_capacity(self):
         policer = Policer(max_eer=10.0)
-        assert policer.admit(UserRequest(rate=5.0)) == PolicerDecision.ACCEPT
+        assert policer.admit(UserRequest(rate=5.0, request_id="a")) == PolicerDecision.ACCEPT
         assert policer.allocated_eer == 5.0
 
     def test_rejects_impossible_request(self):
         policer = Policer(max_eer=10.0)
-        assert policer.admit(UserRequest(rate=20.0)) == PolicerDecision.REJECT
+        assert policer.admit(UserRequest(rate=20.0, request_id="a")) == PolicerDecision.REJECT
         assert policer.rejected_count == 1
 
     def test_queues_when_full(self):
         policer = Policer(max_eer=10.0)
-        policer.admit(UserRequest(rate=8.0))
-        decision = policer.admit(UserRequest(rate=5.0))
+        policer.admit(UserRequest(rate=8.0, request_id="a"))
+        decision = policer.admit(UserRequest(rate=5.0, request_id="b"))
         assert decision == PolicerDecision.QUEUE
         assert policer.queued == 1
 
     def test_fifo_shaping(self):
         policer = Policer(max_eer=10.0)
-        first = UserRequest(rate=8.0)
+        first = UserRequest(rate=8.0, request_id="first")
         policer.admit(first)
-        second = UserRequest(rate=5.0)
+        second = UserRequest(rate=5.0, request_id="second")
         policer.admit(second)
-        third = UserRequest(rate=1.0)
+        third = UserRequest(rate=1.0, request_id="third")
         policer.admit(third)  # queues behind second (FIFO, no overtaking)
         assert policer.queued == 2
         assert policer.next_startable() is None  # still full
@@ -189,13 +203,14 @@ class TestPolicer:
 
     def test_zero_eer_requests_always_fit(self):
         policer = Policer(max_eer=1.0)
-        for _ in range(5):
-            assert policer.admit(UserRequest(num_pairs=3)) == PolicerDecision.ACCEPT
+        for index in range(5):
+            request = UserRequest(num_pairs=3, request_id=f"r{index}")
+            assert policer.admit(request) == PolicerDecision.ACCEPT
 
     def test_drop_queued(self):
         policer = Policer(max_eer=10.0)
-        policer.admit(UserRequest(rate=9.0))
-        queued = UserRequest(rate=5.0)
+        policer.admit(UserRequest(rate=9.0, request_id="active"))
+        queued = UserRequest(rate=5.0, request_id="queued")
         policer.admit(queued)
         assert policer.drop_queued(queued.request_id)
         assert not policer.drop_queued("ghost")

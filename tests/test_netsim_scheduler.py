@@ -229,6 +229,17 @@ def test_events_processed_counter():
     assert sim.events_processed == 4
 
 
+def test_next_id_counts_per_prefix_and_per_simulator():
+    import pickle
+
+    sim = Simulator()
+    assert [sim.next_id("vc"), sim.next_id("req"), sim.next_id("vc")] == [
+        "vc0", "req0", "vc1"]
+    assert Simulator().next_id("vc") == "vc0"
+    restored = pickle.loads(pickle.dumps(sim))
+    assert restored.next_id("vc") == sim.next_id("vc") == "vc2"
+
+
 def test_peek_time_discards_cancelled_heads():
     sim = Simulator()
     assert sim.peek_time() is None

@@ -238,19 +238,13 @@ class TestSnapshots:
     def test_snapshots_do_not_perturb_the_run(self):
         # Instrumentation must be pure observation: the same seed with
         # and without streaming produces the identical report.
-        import re
-
         from repro.traffic import TrafficEngine
 
         def run(**obs_kwargs):
             net = _build_grid(formalism="bell")
             engine = TrafficEngine(net, circuits=3, load=0.5, seed=7,
                                    **obs_kwargs)
-            rendered = engine.run(horizon_s=0.5, drain_s=0.25).render()
-            # Circuit IDs draw from a process-global counter, so their
-            # numbers differ between consecutive in-process runs —
-            # normalise the label, compare everything else exactly.
-            return re.sub(r"vc\d+", "vc#", rendered)
+            return engine.run(horizon_s=0.5, drain_s=0.25).render()
 
         import tempfile
         with tempfile.TemporaryDirectory() as tmp:

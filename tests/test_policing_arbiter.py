@@ -9,9 +9,10 @@ from repro.network.arbiter import DeviceArbiter, acquire_ordered, release_all
 from repro.network.builder import build_chain_network
 
 
-def _request(pairs: int, eer: float) -> UserRequest:
-    """A request demanding exactly ``eer`` pairs/s."""
-    return UserRequest(num_pairs=pairs, delta_t=pairs / eer * 1e9)
+def _request(request_id: str, pairs: int, eer: float) -> UserRequest:
+    """A request named ``request_id`` demanding exactly ``eer`` pairs/s."""
+    return UserRequest(num_pairs=pairs, delta_t=pairs / eer * 1e9,
+                       request_id=request_id)
 
 
 # ----------------------------------------------------------------------
@@ -20,8 +21,8 @@ def _request(pairs: int, eer: float) -> UserRequest:
 
 def test_policer_accept_then_queue_then_start_on_free():
     policer = Policer(max_eer=10.0)
-    first = _request(4, 6.0)
-    second = _request(4, 6.0)
+    first = _request("first", 4, 6.0)
+    second = _request("second", 4, 6.0)
     assert policer.admit(first) == PolicerDecision.ACCEPT
     assert policer.admit(second) == PolicerDecision.QUEUE
     assert policer.queued == 1
@@ -40,7 +41,7 @@ def test_policer_accept_then_queue_then_start_on_free():
 
 def test_policer_rejects_infeasible_and_counts():
     policer = Policer(max_eer=5.0)
-    assert policer.admit(_request(10, 8.0)) == PolicerDecision.REJECT
+    assert policer.admit(_request("greedy", 10, 8.0)) == PolicerDecision.REJECT
     assert policer.rejected_count == 1
     # Rejection reserves nothing.
     assert policer.allocated_eer == 0.0
@@ -50,9 +51,9 @@ def test_policer_rejects_infeasible_and_counts():
 def test_policer_queue_is_fifo_no_overtaking():
     """A small request never overtakes the queued head (head-of-line)."""
     policer = Policer(max_eer=10.0)
-    big = _request(8, 8.0)
-    blocked = _request(8, 8.0)
-    small = _request(3, 3.0)
+    big = _request("big", 8, 8.0)
+    blocked = _request("blocked", 8, 8.0)
+    small = _request("small", 3, 3.0)
     assert policer.admit(big) == PolicerDecision.ACCEPT
     assert policer.admit(blocked) == PolicerDecision.QUEUE
     # 2 pairs/s are free and `small` alone would be accepted on an empty
@@ -68,8 +69,8 @@ def test_policer_queue_is_fifo_no_overtaking():
 
 def test_policer_drop_queued():
     policer = Policer(max_eer=4.0)
-    active = _request(4, 4.0)
-    queued = _request(4, 4.0)
+    active = _request("active", 4, 4.0)
+    queued = _request("queued", 4, 4.0)
     policer.admit(active)
     policer.admit(queued)
     assert policer.drop_queued(queued.request_id) is True
@@ -158,8 +159,8 @@ def test_queued_requests_start_when_bandwidth_frees():
     net = build_chain_network(3, seed=11, formalism="bell")
     circuit_id = net.establish_circuit("node0", "node2", 0.7, "short",
                                       max_eer=6.0)
-    first = net.submit(circuit_id, _request(3, 5.0))
-    second = net.submit(circuit_id, _request(3, 5.0))
+    first = net.submit(circuit_id, _request("first", 3, 5.0))
+    second = net.submit(circuit_id, _request("second", 3, 5.0))
     assert first.status == RequestStatus.ACTIVE
     assert second.status == RequestStatus.QUEUED
     net.run_until_complete([first, second], timeout_s=600.0)
@@ -174,8 +175,8 @@ def test_teardown_aborts_queued_requests():
     net = build_chain_network(3, seed=12, formalism="bell")
     circuit_id = net.establish_circuit("node0", "node2", 0.7, "short",
                                       max_eer=6.0)
-    active = net.submit(circuit_id, _request(3, 5.0))
-    queued = net.submit(circuit_id, _request(3, 5.0))
+    active = net.submit(circuit_id, _request("active", 3, 5.0))
+    queued = net.submit(circuit_id, _request("queued", 3, 5.0))
     assert queued.status == RequestStatus.QUEUED
     net.teardown_circuit(circuit_id)
     assert active.status == RequestStatus.ABORTED

@@ -92,8 +92,8 @@ def test_fair_share_work_conserving(eligible_sequence):
 def test_policer_never_over_allocates(rates):
     policer = Policer(max_eer=25.0)
     active = []
-    for rate in rates:
-        request = UserRequest(rate=rate)
+    for index, rate in enumerate(rates):
+        request = UserRequest(rate=rate, request_id=f"r{index}")
         decision = policer.admit(request)
         if decision == PolicerDecision.ACCEPT:
             active.append(request)
@@ -111,8 +111,8 @@ def test_policer_never_over_allocates(rates):
 def test_policer_queue_drains_in_fifo_order(rates):
     policer = Policer(max_eer=5.0)
     queued_ids = []
-    for rate in rates:
-        request = UserRequest(rate=min(rate, 5.0))
+    for index, rate in enumerate(rates):
+        request = UserRequest(rate=min(rate, 5.0), request_id=f"r{index}")
         decision = policer.admit(request)
         if decision == PolicerDecision.QUEUE:
             queued_ids.append(request.request_id)

@@ -193,8 +193,7 @@ def test_budget_bit_identical(physical, policy, target):
 
 
 def test_route_solve_allocates_no_qubits(monkeypatch):
-    """A cold solve touches no simulation state: no Qubit is built and the
-    process-wide qubit-id counter does not move."""
+    """A cold solve touches no simulation state: no Qubit is built."""
     monkeypatch.setattr(routing, "_BUDGET_CACHE", {})
     monkeypatch.setattr(routing, "_CEILING_CACHE", {})
     net = build_chain_network(5, seed=1)
@@ -206,12 +205,10 @@ def test_route_solve_allocates_no_qubits(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(qubit.Qubit, "__init__", counting_init)
-    ids_before = qubit._qubit_ids.value
     for target in (0.8, 0.9):
         for policy in ("loss", "short"):
             net.controller.compute_route("node0", "node3", target, policy)
     assert built == []
-    assert qubit._qubit_ids.value == ids_before
 
 
 def test_failed_route_does_not_pin_network(monkeypatch):
