@@ -10,29 +10,40 @@ These model the loss mechanisms the paper enumerates in Sec 2.3:
 All builders are memoized: the simulation asks for the same handful of
 channels millions of times (gate noise probabilities are fixed per hardware
 profile), so each distinct parameter set is constructed once and the same
-operator tuple is returned on every subsequent call.  The returned arrays
-are **read-only** — callers must never mutate them (a regression test pins
-this).
+:class:`KrausChannel` is returned on every subsequent call.  The channel
+carries its superoperator, built on first use, so the density-matrix engine
+pays for it once per cache entry and the builder's ``maxsize`` bounds both.
+The returned arrays are **read-only** — callers must never mutate them (a
+regression test pins this).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .gates import I2, X, Y, Z
+from .gates import I2, X, Y, Z, superoperator
 
 KrausOps = Sequence[np.ndarray]
 
 
-def _frozen(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
+class KrausChannel(tuple):
+    """The Kraus operators of one channel, with its superoperator attached."""
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """``Σ K ⊗ K*`` (see :func:`~repro.quantum.gates.superoperator`)."""
+        return superoperator(*self)
+
+
+def _frozen(*ops: np.ndarray) -> KrausChannel:
     """Mark operator arrays read-only so cached instances cannot be mutated."""
     for op in ops:
         op.setflags(write=False)
-    return ops
+    return KrausChannel(ops)
 
 
 @lru_cache(maxsize=4096)

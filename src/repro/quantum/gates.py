@@ -1,4 +1,10 @@
-"""Standard gate matrices used by the quantum engine."""
+"""Standard gate matrices used by the quantum engine, and their superoperators.
+
+The density-matrix engine applies every gate and channel as one contraction
+against its Liouville-form superoperator (see :func:`superoperator`); the
+fixed gates of the hot path — the Bell-measurement rotation, the Pauli
+frames and the measurement-basis rotations — have theirs precomputed here.
+"""
 
 from __future__ import annotations
 
@@ -51,6 +57,30 @@ SWAP_GATE = np.array(
 for _gate in (I2, X, Y, Z, H, S, T, CNOT, CZ, SWAP_GATE, *PAULI_FRAME):
     _gate.setflags(write=False)
 del _gate
+
+
+def superoperator(*ops: np.ndarray) -> np.ndarray:
+    """Liouville form ``S = Σ K ⊗ K*`` of the channel with Kraus operators ``ops``.
+
+    ``S`` acts on the row-major ``vec(ρ)`` of the targeted qubits:
+    ``S · vec(ρ) = vec(Σ K ρ K†)`` (Wood, Biamonte & Cory, arXiv:1111.6950),
+    so the whole channel — or a unitary, as a one-operator channel — is one
+    ``(4^k, 4^k)`` matrix.  The result is read-only.
+    """
+    if not ops:
+        raise ValueError("channel has no Kraus operators")
+    superop = sum(np.kron(op, op.conj()) for op in ops)
+    superop.setflags(write=False)
+    return superop
+
+
+CNOT_SUPEROP = superoperator(CNOT)
+H_SUPEROP = superoperator(H)
+#: Superoperators of :data:`PAULI_FRAME`, by packed frame index.
+PAULI_FRAME_SUPEROPS = tuple(superoperator(pauli) for pauli in PAULI_FRAME)
+#: Superoperators of the rotations taking each measurement basis onto Z:
+#: none for Z, H for X, S† then H for Y.
+BASIS_ROTATION_SUPEROPS = {"Z": None, "X": H_SUPEROP, "Y": superoperator(H @ S.conj().T)}
 
 
 def rx(theta: float) -> np.ndarray:

@@ -21,7 +21,15 @@ import numpy as np
 
 from .bellstate import BellPairState, exact_state as _exact_state, swap_measure
 from .channels import two_qubit_depolarizing_kraus, depolarizing_kraus
-from .gates import CNOT, H, I2, PAULI_FRAME, S
+from .gates import (
+    BASIS_ROTATION_SUPEROPS,
+    CNOT,
+    CNOT_SUPEROP,
+    H,
+    H_SUPEROP,
+    I2,
+    PAULI_FRAME,
+)
 from .qubit import Qubit
 from .states import QState
 
@@ -116,8 +124,8 @@ def bell_state_measurement(qubit_a: Qubit, qubit_b: Qubit, rng,
                             [qubit_a, qubit_b])
     # Rotate the Bell basis onto the computational basis: CNOT then H on the
     # control maps |B_ab⟩ → |a⟩|b⟩.
-    state.apply_unitary(CNOT, [qubit_a, qubit_b])
-    state.apply_unitary(H, [qubit_a])
+    state.apply_superop(CNOT_SUPEROP, [qubit_a, qubit_b])
+    state.apply_superop(H_SUPEROP, [qubit_a])
     if ops.single_qubit_depolar_prob > 0:
         state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob), [qubit_a])
     phase_bit = state.measure(qubit_a, rng)
@@ -132,14 +140,6 @@ def _readout_flip(bit: int, rng, ops: NoisyOpParams) -> int:
     return 1 if (error > 0 and rng.random() < error) else 0
 
 
-_BASIS_ROTATIONS = {
-    "Z": None,
-    "X": H,
-    # Rotate Y eigenbasis onto Z: measure after S† then H.
-    "Y": H @ S.conj().T,
-}
-
-
 def measure_qubit(qubit: Qubit, rng, basis: str = "Z",
                   ops: NoisyOpParams = PERFECT_OPS) -> int:
     """Noisy single-qubit measurement in the X, Y or Z basis.
@@ -149,7 +149,7 @@ def measure_qubit(qubit: Qubit, rng, basis: str = "Z",
     if qubit.state is None:
         raise ValueError("cannot measure a freed qubit")
     basis = basis.upper()
-    if basis not in _BASIS_ROTATIONS:
+    if basis not in BASIS_ROTATION_SUPEROPS:
         raise ValueError(f"unknown basis {basis!r}")
     state = qubit.state
     if isinstance(state, BellPairState):
@@ -161,9 +161,9 @@ def measure_qubit(qubit: Qubit, rng, basis: str = "Z",
             state.apply_depolarizing(ops.single_qubit_depolar_prob, qubit)
         bit = state.measure_in_basis(qubit, basis, rng)
         return bit ^ _readout_flip(bit, rng, ops)
-    rotation = _BASIS_ROTATIONS.get(basis)
+    rotation = BASIS_ROTATION_SUPEROPS[basis]
     if rotation is not None:
-        state.apply_unitary(rotation, [qubit])
+        state.apply_superop(rotation, [qubit])
     if ops.single_qubit_depolar_prob > 0:
         state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob), [qubit])
     bit = state.measure(qubit, rng)

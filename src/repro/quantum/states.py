@@ -5,10 +5,12 @@ is the NetSquid-formalism substitute: protocols never touch matrices, they
 hold :class:`~repro.quantum.qubit.Qubit` handles and call the operations in
 :mod:`repro.quantum.operations`.
 
-The engine is exact: gates and channels are applied by tensor contraction
-on the 2^n × 2^n density matrix.  In this system ``n`` never exceeds 4
-(two entangled pairs merged for an entanglement swap), so everything stays
-tiny and fast.
+The engine is exact.  Every gate and channel is applied the same way: one
+contraction of its superoperator (``Σ K ⊗ K*``, see
+:func:`~repro.quantum.gates.superoperator`) into the targeted row and column
+axes of the 2^n × 2^n density matrix.  A Z measurement is a slice of that
+matrix.  In this system ``n`` never exceeds 4 (two entangled pairs merged
+for an entanglement swap), so everything stays tiny and fast.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import decoherence_kraus, dephasing_kraus, depolarizing_kraus
-from .gates import PAULI_FRAME
+from .channels import KrausChannel, decoherence_kraus, dephasing_kraus, depolarizing_kraus
+from .gates import PAULI_FRAME_SUPEROPS, superoperator
 from .qubit import Qubit
 
 _TOL = 1e-9
@@ -111,28 +113,41 @@ class QState:
 
     def probability_of(self, projector: np.ndarray, targets: Sequence[Qubit]) -> float:
         """Probability of the projector on the given qubits."""
-        projected = self._contract(projector, [self.index_of(q) for q in targets])
+        indices = [self.index_of(q) for q in targets]
+        projected = _apply_left(self.dm, projector, indices, self.num_qubits)
         return float(np.real(np.trace(projected)))
 
     # ------------------------------------------------------------------
     # Evolution
     # ------------------------------------------------------------------
 
+    def apply_superop(self, superop: np.ndarray, targets: Sequence[Qubit]) -> None:
+        """Apply a channel in superoperator form to the given qubits (in order).
+
+        The one way the density matrix evolves: ``superop`` (of shape
+        ``(4^k, 4^k)`` for ``k`` targets) is contracted into the targets' row
+        and column axes at once.
+        """
+        rows = [self.qubits.index(q) for q in targets]
+        n = len(self.qubits)
+        self.dm = _apply_left(self.dm, superop, rows + [row + n for row in rows], n)
+
     def apply_unitary(self, unitary: np.ndarray, targets: Sequence[Qubit]) -> None:
         """Apply a unitary to the given qubits (in order)."""
-        indices = [self.index_of(q) for q in targets]
-        self.dm = self._sandwich(unitary, indices)
+        self.apply_superop(superoperator(unitary), targets)
 
     def apply_channel(self, kraus_ops: Iterable[np.ndarray], targets: Sequence[Qubit]) -> None:
-        """Apply a Kraus channel to the given qubits (in order)."""
-        indices = [self.index_of(q) for q in targets]
-        result = None
-        for op in kraus_ops:
-            term = self._sandwich(op, indices)
-            result = term if result is None else result + term
-        if result is None:
-            raise ValueError("channel has no Kraus operators")
-        self.dm = result
+        """Apply a Kraus channel to the given qubits (in order).
+
+        The memoized builders of :mod:`repro.quantum.channels` return
+        :class:`~repro.quantum.channels.KrausChannel` tuples that carry their
+        superoperator; any other Kraus list gets one built for this call.
+        """
+        if isinstance(kraus_ops, KrausChannel):
+            superop = kraus_ops.superop
+        else:
+            superop = superoperator(*kraus_ops)
+        self.apply_superop(superop, targets)
 
     # ------------------------------------------------------------------
     # Named noise channels (shared interface with the Bell-diagonal backend)
@@ -158,27 +173,38 @@ class QState:
         """Apply the Pauli frame ``X^b Z^a`` (packed two-bit index)."""
         frame_index = int(frame_index) & 0b11
         if frame_index:
-            self.apply_unitary(PAULI_FRAME[frame_index], [qubit])
+            self.apply_superop(PAULI_FRAME_SUPEROPS[frame_index], [qubit])
 
-    def measure(self, qubit: Qubit, rng, remove: bool = True) -> int:
-        """Projective Z measurement; collapses and (optionally) removes the qubit.
+    def measure(self, qubit: Qubit, rng) -> int:
+        """Projective Z measurement; collapses the state and removes the qubit.
 
         Returns the true physical outcome bit (readout errors are a classical
         layer on top, handled in :mod:`repro.quantum.operations`).
+
+        The branch of outcome ``b`` is the block of ρ whose row and column
+        both have the qubit at ``b``: its trace is the outcome probability
+        and the block over that trace is the post-measurement state of the
+        other qubits.  Each trace sums the full diagonal with the other
+        branch zeroed, so numpy's pairwise summation adds the same terms in
+        the same order as ``Tr(P ρ P)`` with a projector ``P`` would.
         """
-        position = self.index_of(qubit)
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        prob0 = float(np.real(np.trace(self._contract(p0, [position]))))
-        prob0 = min(max(prob0, 0.0), 1.0)
-        outcome = 0 if rng.random() < prob0 else 1
-        projector = np.diag([1.0, 0.0] if outcome == 0 else [0.0, 1.0]).astype(complex)
-        self.dm = self._sandwich(projector, [position])
-        norm = float(np.real(np.trace(self.dm)))
+        position = self.qubits.index(qubit)
+        n = len(self.qubits)
+        diagonal = self.dm.diagonal()
+        mask = _branch_mask(n, position)
+        prob0 = float(np.real(np.where(mask, 0, diagonal).sum()))
+        outcome = 0 if rng.random() < min(max(prob0, 0.0), 1.0) else 1
+        norm = prob0 if outcome == 0 else float(np.real(np.where(mask, diagonal, 0).sum()))
         if norm <= _TOL:
             raise RuntimeError("measurement collapsed to zero-probability branch")
-        self.dm /= norm
-        if remove:
-            self.remove(qubit)
+        index = [slice(None)] * (2 * n)
+        index[position] = index[position + n] = outcome
+        block = self.dm.reshape((2,) * (2 * n))[tuple(index)]
+        self.qubits.pop(position)
+        qubit.state = None
+        size = 2 ** (n - 1)
+        self.dm = block.reshape(size, size) / norm if n > 1 else \
+            np.array([[1.0]], dtype=complex)
         return outcome
 
     def remove(self, qubit: Qubit) -> None:
@@ -212,79 +238,50 @@ class QState:
             dm = _permute_qubits(dm, keep)
         return dm
 
-    # ------------------------------------------------------------------
-    # Tensor plumbing
-    # ------------------------------------------------------------------
-
-    def _sandwich(self, op: np.ndarray, indices: list[int]) -> np.ndarray:
-        """Compute ``op ρ op†`` with ``op`` acting on the given qubit indices."""
-        rho = _apply_left(self.dm, op, indices, self.num_qubits)
-        return _apply_right(rho, op.conj().T, indices, self.num_qubits)
-
-    def _contract(self, op: np.ndarray, indices: list[int]) -> np.ndarray:
-        """Compute ``op ρ`` (left application only), for probabilities."""
-        return _apply_left(self.dm, op, indices, self.num_qubits)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ",".join(q.name for q in self.qubits)
         return f"<QState [{names}]>"
 
 
 @lru_cache(maxsize=None)
-def _left_perm(n: int, targets: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse transpose permutation for :func:`_apply_left`.
+def _axis_plan(n: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpose permutations for :func:`_apply_left` on ``n`` qubits.
 
-    After the tensordot the op's output axes sit first, followed by the
-    remaining axes in original order; this permutation moves every axis back
-    to its home position.  The argument space is tiny (n ≤ 4, a handful of
-    target tuples) but each entry used to cost O(n²) ``list.index`` calls on
-    every single gate application — the hottest line of the exact engine.
+    ``forward`` moves the contracted ``axes`` first, the rest after them in
+    original order; ``inverse`` moves every axis back to its home position.
+    The argument space is tiny (n ≤ 4, a handful of target tuples), so each
+    pair is computed once.
     """
-    rest = [axis for axis in range(2 * n) if axis not in targets]
-    current_order = list(targets) + rest
-    perm = [0] * (2 * n)
-    for position, axis in enumerate(current_order):
-        perm[axis] = position
-    return tuple(perm)
+    forward = axes + tuple(axis for axis in range(2 * n) if axis not in axes)
+    inverse = [0] * (2 * n)
+    for position, axis in enumerate(forward):
+        inverse[axis] = position
+    return forward, tuple(inverse)
 
 
 @lru_cache(maxsize=None)
-def _right_perm(n: int, targets: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse transpose permutation for :func:`_apply_right` (op axes last)."""
-    column_targets = [t + n for t in targets]
-    rest = [axis for axis in range(2 * n) if axis not in column_targets]
-    current_order = rest + column_targets
-    perm = [0] * (2 * n)
-    for position, axis in enumerate(current_order):
-        perm[axis] = position
-    return tuple(perm)
+def _branch_mask(n: int, position: int) -> np.ndarray:
+    """Which of the 2^n basis states have qubit ``position`` set to 1."""
+    mask = (np.arange(2 ** n) >> (n - 1 - position)) & 1 == 1
+    mask.setflags(write=False)
+    return mask
 
 
-def _apply_left(dm: np.ndarray, op: np.ndarray, targets: list[int], n: int) -> np.ndarray:
-    """Multiply ``op`` (on ``targets``) into the row indices of ``dm``."""
-    k = len(targets)
+def _apply_left(dm: np.ndarray, op: np.ndarray, axes: list[int], n: int) -> np.ndarray:
+    """Multiply ``op`` into the given axes of ``dm``'s ``(2,)*2n`` tensor.
+
+    Axes ``0..n-1`` index the rows and ``n..2n-1`` the columns, so row axes
+    alone give ``op ρ``, and the row and column axes of the targets together
+    apply a superoperator.  This is ``np.tensordot`` followed by moving the
+    op's output axes home, without tensordot's per-call set-up.
+    """
+    k = len(axes)
     if op.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} targets")
-    tensor = dm.reshape([2] * (2 * n))
-    op_tensor = op.reshape([2] * (2 * k))
-    contracted = np.tensordot(op_tensor, tensor,
-                              axes=(list(range(k, 2 * k)), targets))
-    # tensordot puts the op's output axes first; move them back into place.
-    perm = _left_perm(n, tuple(targets))
-    return contracted.transpose(perm).reshape(2 ** n, 2 ** n)
-
-
-def _apply_right(dm: np.ndarray, op: np.ndarray, targets: list[int], n: int) -> np.ndarray:
-    """Multiply ``op`` (on ``targets``) into the column indices of ``dm``."""
-    column_targets = [t + n for t in targets]
-    k = len(targets)
-    tensor = dm.reshape([2] * (2 * n))
-    op_tensor = op.reshape([2] * (2 * k))
-    contracted = np.tensordot(tensor, op_tensor,
-                              axes=(column_targets, list(range(k))))
-    # tensordot appends the op's output axes at the end; restore positions.
-    perm = _right_perm(n, tuple(targets))
-    return contracted.transpose(perm).reshape(2 ** n, 2 ** n)
+        raise ValueError(f"operator shape {op.shape} does not match {k} axes")
+    forward, inverse = _axis_plan(n, tuple(axes))
+    shape = (2,) * (2 * n)
+    moved = dm.reshape(shape).transpose(forward).reshape(2 ** k, -1)
+    return np.dot(op, moved).reshape(shape).transpose(inverse).reshape(2 ** n, 2 ** n)
 
 
 def _permute_qubits(dm: np.ndarray, keep_positions: list[int]) -> np.ndarray:

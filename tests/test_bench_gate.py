@@ -81,6 +81,12 @@ class TestSpeedupFloors:
     def test_floors_cover_the_delivery_round(self):
         assert gate.SPEEDUP_FLOORS["link_delivery_round"] >= 1.0
 
+    def test_every_floor_keeps_bell_not_slower_than_dm(self):
+        # A floor below 1.0 would let the fast formalism fall behind the
+        # exact engine on that op without failing the gate.
+        assert {op: floor for op, floor in gate.SPEEDUP_FLOORS.items()
+                if floor < 1.0} == {}
+
     def test_bell_not_slower_passes(self):
         payload = {"speedup_bell_over_dm":
                    {"bsm": 26.0, "link_delivery_round": 1.4,

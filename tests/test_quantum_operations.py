@@ -259,9 +259,10 @@ def reference_averaged_swap_dm(rho_ab, rho_bc, ops):
     result = np.zeros((4, 4), dtype=complex)
     for outcome in range(4):
         phase_bit, parity_bit = (outcome >> 1) & 1, outcome & 1
-        proj = np.kron(np.diag([1 - phase_bit, phase_bit]),
-                       np.diag([1 - parity_bit, parity_bit])).astype(complex)
-        branch = state._sandwich(proj, [1, 2])
+        # Projector onto the outcome on B1 B2, identity on A and C.
+        proj = np.kron(np.kron(np.eye(2), np.diag([1 - phase_bit, phase_bit])),
+                       np.kron(np.diag([1 - parity_bit, parity_bit]), np.eye(2)))
+        branch = proj @ state.dm @ proj
         if np.real(np.trace(branch)) <= 1e-15:
             continue
         tensor = branch.reshape([2] * 8)
