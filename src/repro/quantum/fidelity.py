@@ -9,7 +9,6 @@ entanglement, ~0.8 suffices for basic QKD).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .bell import bell_vector
 from .bellstate import BellPairState, exact_state
@@ -32,10 +31,17 @@ def bell_fidelity(dm: np.ndarray, bell_index: int = 0) -> float:
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity  F(ρ,σ) = (tr √(√ρ σ √ρ))²  between two mixed states."""
-    sqrt_rho = sqrtm(np.asarray(rho, dtype=complex))
-    inner = sqrtm(sqrt_rho @ np.asarray(sigma, dtype=complex) @ sqrt_rho)
-    value = float(np.real(np.trace(inner)) ** 2)
+    """Uhlmann fidelity  F(ρ,σ) = (tr √(√ρ σ √ρ))²  between two mixed states.
+
+    Both square roots come from Hermitian eigendecompositions with the
+    eigenvalues clipped at 0 (round-off can push the zero eigenvalues of a
+    rank-deficient state slightly negative): ``√ρ = V √Λ V†`` and
+    ``F = (Σ √λ)²`` over the eigenvalues λ of ``√ρ σ √ρ``.
+    """
+    values, vectors = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    sqrt_rho = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    inner = np.linalg.eigvalsh(sqrt_rho @ np.asarray(sigma, dtype=complex) @ sqrt_rho)
+    value = float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
     return min(max(value, 0.0), 1.0)
 
 

@@ -66,10 +66,16 @@ def superoperator(*ops: np.ndarray) -> np.ndarray:
     ``S · vec(ρ) = vec(Σ K ρ K†)`` (Wood, Biamonte & Cory, arXiv:1111.6950),
     so the whole channel — or a unitary, as a one-operator channel — is one
     ``(4^k, 4^k)`` matrix.  The result is read-only.
+
+    All the ``K ⊗ K*`` terms come from one broadcast product (element for
+    element what ``np.kron`` computes) and are summed in Kraus order.
     """
     if not ops:
         raise ValueError("channel has no Kraus operators")
-    superop = sum(np.kron(op, op.conj()) for op in ops)
+    ops = np.asarray(ops)
+    count, dim = ops.shape[:2]
+    terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
+    superop = terms.reshape(count, dim * dim, dim * dim).sum(axis=0)
     superop.setflags(write=False)
     return superop
 

@@ -82,7 +82,10 @@ class QState:
         """Tensor two disjoint states into one; qubit handles survive."""
         if state_a is state_b:
             return state_a
-        dm = np.kron(state_a.dm, state_b.dm)
+        # ρ_a ⊗ ρ_b as one broadcast product: element for element np.kron.
+        dim = state_a.dm.shape[0] * state_b.dm.shape[0]
+        dm = (state_a.dm[:, None, :, None]
+              * state_b.dm[None, :, None, :]).reshape(dim, dim)
         qubits = state_a.qubits + state_b.qubits
         for qubit in qubits:
             qubit.state = None

@@ -21,6 +21,8 @@ from repro.quantum import (
     depolarizing_kraus,
     is_trace_preserving,
     pair_fidelity,
+    pure_state_fidelity,
+    state_fidelity,
     swap_combine,
     werner_dm,
 )
@@ -135,3 +137,68 @@ def test_bsm_on_pure_bell_inputs_keeps_purity(index, seed):
     outcome = bell_state_measurement(q_mid1, q_mid2, rng)
     expected = swap_combine(index, 0, outcome)
     assert pair_fidelity(qa, qc, expected) > 1.0 - 1e-9
+
+
+# ----------------------------------------------------------------------
+# Uhlmann fidelity between mixed states
+# ----------------------------------------------------------------------
+
+FIDELITY_TOL = 1e-7
+
+
+def _ginibre_dm(rng, dim, rank):
+    """A random ``dim``-dimensional density matrix of the given rank
+    (rank 1 is a pure state, rank < dim a rank-deficient one)."""
+    ginibre = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = ginibre @ ginibre.conj().T
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def _state_pairs(draw):
+    """(ρ, σ, rng): two random 1–2-qubit dms of one dimension, any ranks."""
+    dim = 2 ** draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rho = _ginibre_dm(rng, dim, draw(st.integers(1, dim)))
+    sigma = _ginibre_dm(rng, dim, draw(st.integers(1, dim)))
+    return rho, sigma, rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(_state_pairs())
+def test_state_fidelity_of_a_state_with_itself_is_one(states):
+    rho, _, _ = states
+    assert abs(state_fidelity(rho, rho) - 1.0) <= FIDELITY_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(_state_pairs())
+def test_state_fidelity_is_symmetric_and_bounded(states):
+    rho, sigma, _ = states
+    forward, backward = state_fidelity(rho, sigma), state_fidelity(sigma, rho)
+    assert abs(forward - backward) <= FIDELITY_TOL
+    assert 0.0 <= forward <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_state_pairs())
+def test_state_fidelity_to_a_pure_state_is_the_overlap(states):
+    rho, _, rng = states
+    dim = rho.shape[0]
+    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vector /= np.linalg.norm(vector)
+    sigma = np.outer(vector, vector.conj())
+    expected = pure_state_fidelity(rho, vector)
+    assert abs(state_fidelity(rho, sigma) - expected) <= FIDELITY_TOL
+    assert abs(state_fidelity(sigma, rho) - expected) <= FIDELITY_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+    *[st.lists(st.floats(0.0, 1.0), min_size=2 ** n, max_size=2 ** n)
+      .filter(lambda w: sum(w) > 1e-3)] * 2)))
+def test_state_fidelity_of_commuting_states_is_classical(weights):
+    """Diagonal (commuting) states: F = (Σ √(p_i q_i))², zeros included."""
+    p, q = (np.array(w) / sum(w) for w in weights)
+    expected = float(np.sqrt(p * q).sum() ** 2)
+    assert abs(state_fidelity(np.diag(p), np.diag(q)) - expected) <= FIDELITY_TOL
