@@ -296,6 +296,7 @@ def bench_link_delivery_round(formalism: str):
     from repro.netsim.ports import subscribe
     from repro.network.builder import build_chain_network
     from repro.quantum.fidelity import pair_fidelity
+    from repro.quantum.operations import discard
 
     net = build_chain_network(2, seed=9, formalism=formalism)
     link = net.link_between("node0", "node1")
@@ -309,10 +310,7 @@ def bench_link_delivery_round(formalism: str):
         assert pair_fidelity(qubit_a, qubit_b, int(delivery.bell_index)) > 0.5
         node_a.qmm.free(delivery.entanglement_id)
         node_b.qmm.free(delivery.entanglement_id)
-        if qubit_a.state is not None:
-            qubit_a.state.remove(qubit_a)
-        if qubit_b.state is not None:
-            qubit_b.state.remove(qubit_b)
+        discard(qubit_a, qubit_b)
 
     for name, handler in (("node0", consume), ("node1", lambda d: None)):
         port = link.delivery_port(name)

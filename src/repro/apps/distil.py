@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from ..analysis.stats import mean
 from ..quantum.fidelity import pair_fidelity
+from ..quantum.operations import discard
 from ..services.distillation import DistillationModule
 from .base import AppContext, AppService, register_app
 from .slo import SLOTarget
@@ -68,9 +69,7 @@ class DistilApp(AppService):
             qubit_a, qubit_b = self._module.distilled.pop()
             self._distilled_fidelities.append(
                 pair_fidelity(qubit_a, qubit_b, 0))
-            for qubit in (qubit_a, qubit_b):
-                if qubit.state is not None:
-                    qubit.state.remove(qubit)
+            discard(qubit_a, qubit_b)
 
     def metrics(self) -> dict:
         """Raw vs distilled fidelity, yield and success statistics."""

@@ -86,8 +86,6 @@ class PersistConfig:
     checkpoint_interval_s: float = 1.0
     #: Resume cells from surviving checkpoints instead of starting over.
     resume: bool = False
-    #: Bound per-cell memory by retiring finished sessions.
-    retire_sessions: bool = False
 
     def checkpoint_path(self, cell: "CampaignCell") -> Optional[str]:
         """This cell's checkpoint file (None when checkpointing is off)."""
@@ -203,8 +201,7 @@ def run_cell(cell: CampaignCell,
                 snapshot_interval_s=obs.snapshot_interval_s,
                 trace_out=obs.trace_path(cell),
                 checkpoint_out=checkpoint,
-                checkpoint_interval_s=persist.checkpoint_interval_s,
-                retire_sessions=persist.retire_sessions)
+                checkpoint_interval_s=persist.checkpoint_interval_s)
             report = engine.run(horizon_s=cell.horizon_s,
                                 drain_s=cell.drain_s)
     except (ValueError, RuntimeError) as exc:

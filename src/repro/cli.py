@@ -157,9 +157,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
                            checkpoint_out=getattr(args, "checkpoint_out",
                                                   None),
                            checkpoint_interval_s=getattr(
-                               args, "checkpoint_interval", 1.0),
-                           retire_sessions=getattr(args, "retire_sessions",
-                                                   False))
+                               args, "checkpoint_interval", 1.0))
     engine.install()
     print(f"installed {len(engine.circuits)} circuits "
           f"(metric {args.metric}, max link share "
@@ -252,11 +250,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_out:
         raise SystemExit("--resume requires --checkpoint-out (the directory "
                          "holding the per-cell checkpoints)")
-    if args.checkpoint_out or args.retire_sessions:
+    if args.checkpoint_out:
         persist = PersistConfig(checkpoint_dir=args.checkpoint_out,
                                 checkpoint_interval_s=args.checkpoint_interval,
-                                resume=args.resume,
-                                retire_sessions=args.retire_sessions)
+                                resume=args.resume)
     try:
         spec = load_spec(args.spec)
     except ValueError as exc:
@@ -483,12 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="resume a checkpointed run from this file and"
                               " finish it (all construction flags are"
                               " ignored; the checkpoint carries the run)")
-    traffic.add_argument("--retire-sessions", action="store_true",
-                         dest="retire_sessions",
-                         help="bound memory on long horizons: fold finished"
-                              " sessions into slim summaries and free their"
-                              " delivery/match state (reported numbers are"
-                              " unchanged)")
     traffic.set_defaults(fn=_cmd_traffic)
 
     apps = sub.add_parser(
@@ -538,10 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--resume", action="store_true",
                           help="finish cells from surviving checkpoints under"
                                " --checkpoint-out instead of starting over")
-    campaign.add_argument("--retire-sessions", action="store_true",
-                          dest="retire_sessions",
-                          help="bound per-cell memory by folding finished"
-                               " sessions into aggregates")
     campaign.set_defaults(fn=_cmd_campaign)
 
     obs = sub.add_parser(

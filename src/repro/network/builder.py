@@ -52,7 +52,7 @@ from ..netsim.units import (
 )
 from ..quantum.backends import Backend, get_backend
 from ..quantum.fidelity import pair_fidelity
-from ..quantum.operations import NoisyOpParams
+from ..quantum.operations import NoisyOpParams, discard
 from .node import QuantumNode
 
 
@@ -120,9 +120,6 @@ class Network:
         self.controller: Optional[CentralController] = None
         self._graph = nx.Graph()
         self._circuit_meta: dict[str, dict] = {}
-        # Keyed by handle (identity hash) so session retirement can free a
-        # finished submission in O(1) — see :meth:`discard_submission`.
-        self._submissions: dict[RequestHandle, _Submission] = {}
         self._identifier_counter = 0
         #: Optional causal span tracer (set by ``attach_trace``/
         #: ``attach_tracer`` — see :mod:`repro.analysis.tracing`).  When
@@ -160,11 +157,14 @@ class Network:
         obs.counter("arbiter.grants", source=self._src_arbiter_grants)
         obs.counter("arbiter.wait_ns", source=self._src_arbiter_wait)
         obs.gauge("arbiter.max_queue", source=self._src_arbiter_max_queue)
-        # Push-style admission counters (incremented by :meth:`submit`).
-        for name in ("policer.accepted", "policer.queued",
-                     "policer.rejected"):
-            obs.counter(name)
-        obs.histogram("traffic.fidelity")
+        # Push-style instruments, bound once: :meth:`submit` counts each
+        # policer decision, :meth:`_match` observes each matched pair.
+        self._c_policer = {
+            RequestStatus.ACTIVE: obs.counter("policer.accepted"),
+            RequestStatus.QUEUED: obs.counter("policer.queued"),
+            RequestStatus.REJECTED: obs.counter("policer.rejected"),
+        }
+        self._h_fidelity = obs.histogram("traffic.fidelity")
 
     # Pull-source methods for the registry (picklable bound methods).
 
@@ -569,27 +569,13 @@ class Network:
                                         head_end_identifier=head_id,
                                         tail_end_identifier=tail_id)
         submission.handle = handle
-        decision = {RequestStatus.ACTIVE: "policer.accepted",
-                    RequestStatus.QUEUED: "policer.queued",
-                    RequestStatus.REJECTED: "policer.rejected"}.get(
-                        handle.status)
+        decision = self._c_policer.get(handle.status)
         if decision is not None:
-            self.obs.counter(decision).inc()
+            decision.inc()
         handle.tail_deliveries = submission.tail_deliveries  # type: ignore[attr-defined]
         handle.matched_pairs = submission.matched  # type: ignore[attr-defined]
         handle.on_delivery(partial(self._on_head_delivery, submission))
-        self._submissions[handle] = submission
         return handle
-
-    def discard_submission(self, handle: RequestHandle) -> None:
-        """Drop the façade's book-keeping for a finished submission.
-
-        Session retirement calls this once a session is terminal and its
-        telemetry has been folded into aggregates, so the matched-pair and
-        delivery lists (the per-session memory that grows with traffic) can
-        be garbage collected.  Safe to call for unknown handles.
-        """
-        self._submissions.pop(handle, None)
 
     def _next_identifier(self) -> int:
         self._identifier_counter += 1
@@ -629,7 +615,7 @@ class Network:
                 int(head_delivery.bell_state))
             if submission.oracle_min_fidelity is not None:
                 matched.accepted = matched.fidelity >= submission.oracle_min_fidelity
-            self.obs.histogram("traffic.fidelity").observe(matched.fidelity)
+            self._h_fidelity.observe(matched.fidelity)
         # Hand the pair to the application service first: it may measure
         # or buffer the qubits (truthy return = it owns them now).
         owned = (submission.on_matched is not None
@@ -639,14 +625,10 @@ class Network:
                                request=delivery.request_id,
                                pair=delivery.pair_id)
         if has_qubits and not owned:
-            # Consume the pair so long runs do not accumulate state.
-            # Either side's state may already be gone: removing one half can
-            # drop its partner, and under heavy traffic a cutoff discard can
-            # race the delivery match.
-            if head_delivery.qubit.state is not None:
-                head_delivery.qubit.state.remove(head_delivery.qubit)
-            if tail_delivery.qubit.state is not None:
-                tail_delivery.qubit.state.remove(tail_delivery.qubit)
+            # Consume the pair so long runs do not accumulate state.  Under
+            # heavy traffic a cutoff discard can race the delivery match,
+            # so either half may already be stateless.
+            discard(head_delivery.qubit, tail_delivery.qubit)
         submission.matched.append(matched)
 
     # ------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .backends import (
     DensityMatrixBackend,
     FORMALISMS,
     get_backend,
-    register_backend,
 )
 from .bell import (
     BellIndex,
@@ -79,7 +78,6 @@ __all__ = [
     "FORMALISMS",
     "DEFAULT_FORMALISM",
     "get_backend",
-    "register_backend",
     "BellIndex",
     "bell_vector",
     "bell_dm",

@@ -33,26 +33,6 @@ from .qubit import Qubit
 from .states import QState
 
 
-class _ForwardingPairMaker:
-    """Default ``link_pair_factory`` product: forwards to the backend.
-
-    A callable class (not a closure) so installed link requests — which hold
-    their pair maker for their whole lifetime — survive pickling in engine
-    checkpoints.
-    """
-
-    __slots__ = ("backend", "model", "alpha")
-
-    def __init__(self, backend: "Backend", model, alpha: float):
-        self.backend = backend
-        self.model = model
-        self.alpha = alpha
-
-    def __call__(self, bell_index, name_a="", name_b=""):
-        return self.backend.create_link_pair(self.model, self.alpha,
-                                             bell_index, name_a, name_b)
-
-
 class _DmPairMaker:
     """Pair maker with the two heralded density matrices prebound."""
 
@@ -87,7 +67,7 @@ class _BellPairMaker:
 class Backend:
     """Strategy object deciding how entangled pairs are represented.
 
-    Subclasses implement :meth:`create_link_pair` (the link layer's pair
+    Subclasses implement :meth:`link_pair_factory` (the link layer's pair
     materialisation — the hottest allocation in the simulator) and
     :meth:`create_pair_from_weights` (tests, analytics, services).
     """
@@ -96,11 +76,6 @@ class Backend:
     name: str = ""
     #: Whether the formalism is exact for arbitrary states and operations.
     exact: bool = True
-
-    def create_link_pair(self, model, alpha: float, bell_index: BellIndex,
-                         name_a: str = "", name_b: str = "") -> Tuple[Qubit, Qubit]:
-        """Materialise one heralded link pair from a single-click model."""
-        raise NotImplementedError
 
     def create_pair_from_weights(self, weights: Sequence[float],
                                  name_a: str = "",
@@ -112,15 +87,12 @@ class Backend:
         """A per-``(model, α)`` pair materialiser for the link layer.
 
         ``alpha`` is fixed for the lifetime of a generation request, so the
-        produced-state lookup (a memo-dict probe per delivery through
-        :meth:`create_link_pair`) can be hoisted out of the generation loop
-        entirely.  Returns ``make(bell_index, name_a, name_b)``; the default
-        simply forwards to :meth:`create_link_pair` so custom backends keep
-        working unchanged.  All factory products are picklable callables:
-        installed link requests hold them, and engine checkpoints pickle
-        installed requests.
+        produced state is looked up once per request, not once per
+        delivery.  Returns ``make(bell_index, name_a, name_b)``, a picklable
+        callable: installed link requests hold it, and engine checkpoints
+        pickle installed requests.
         """
-        return _ForwardingPairMaker(self, model, alpha)
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -131,13 +103,6 @@ class DensityMatrixBackend(Backend):
 
     name = "dm"
     exact = True
-
-    def create_link_pair(self, model, alpha, bell_index,
-                         name_a="", name_b=""):
-        qubit_a = Qubit(name_a)
-        qubit_b = Qubit(name_b)
-        QState(model.produced_dm(alpha, bell_index), [qubit_a, qubit_b])
-        return qubit_a, qubit_b
 
     def create_pair_from_weights(self, weights, name_a="", name_b=""):
         qubit_a = Qubit(name_a)
@@ -157,15 +122,6 @@ class BellDiagonalBackend(Backend):
 
     name = "bell"
     exact = False
-
-    def create_link_pair(self, model, alpha, bell_index,
-                         name_a="", name_b=""):
-        qubit_a = Qubit(name_a)
-        qubit_b = Qubit(name_b)
-        # produced_weights is memoized and normalised — skip re-validation.
-        BellPairState.from_trusted_weights(
-            model.produced_weights(alpha, bell_index), [qubit_a, qubit_b])
-        return qubit_a, qubit_b
 
     def create_pair_from_weights(self, weights, name_a="", name_b=""):
         return create_bell_diagonal_pair(weights, name_a, name_b)
@@ -206,15 +162,6 @@ def get_backend(formalism: Union[str, Backend, None]) -> Backend:
             f" (available: {', '.join(FORMALISMS)})") from None
 
 
-def register_backend(backend: Backend) -> None:
-    """Register a custom formalism (experiments, tests)."""
-    if not backend.name:
-        raise ValueError("backend needs a non-empty name")
-    _BACKENDS[backend.name] = backend
-    global FORMALISMS
-    FORMALISMS = tuple(_BACKENDS)
-
-
 __all__ = [
     "Backend",
     "DensityMatrixBackend",
@@ -223,5 +170,4 @@ __all__ = [
     "FORMALISMS",
     "DEFAULT_FORMALISM",
     "get_backend",
-    "register_backend",
 ]

@@ -207,10 +207,23 @@ def apply_two_qubit_gate(control: Qubit, target: Qubit, gate: np.ndarray,
                             [control, target])
 
 
-def discard(qubit: Qubit) -> None:
-    """Trace a qubit out of its state (cutoff discard, Alg. 9)."""
-    if qubit.state is not None:
-        qubit.state.remove(qubit)
+def discard(*qubits: Qubit) -> None:
+    """Drop qubits from their states (cutoff discard, Alg. 9).
+
+    A state whose every qubit is discarded is detached whole, with no
+    partial trace; otherwise each qubit is traced out of its state.
+    Qubits that are already stateless are skipped.
+    """
+    for qubit in qubits:
+        state = qubit.state
+        if state is None:
+            continue
+        if all(member in qubits for member in state.qubits):
+            for member in state.qubits:
+                member.state = None
+            state.qubits = []
+        else:
+            state.remove(qubit)
 
 
 # ----------------------------------------------------------------------

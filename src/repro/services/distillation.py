@@ -29,6 +29,7 @@ from ..quantum.operations import (
     PERFECT_OPS,
     apply_gate,
     apply_two_qubit_gate,
+    discard,
     measure_qubit,
     pauli_correct,
 )
@@ -68,9 +69,7 @@ def dejmps_round(pair_one: tuple[Qubit, Qubit], pair_two: tuple[Qubit, Qubit],
     success = outcome_a == outcome_b
     if not success:
         # Both remaining qubits are useless: discard them.
-        for qubit in (keep_a, keep_b):
-            if qubit.state is not None:
-                qubit.state.remove(qubit)
+        discard(keep_a, keep_b)
         return DistillationOutcome(False, None, None, outcome_a, outcome_b)
     return DistillationOutcome(True, keep_a, keep_b, outcome_a, outcome_b)
 
@@ -178,10 +177,7 @@ class DistillationModule:
         discarded = 0
         for buffer in self._buffers:
             while buffer:
-                qubit_a, qubit_b = buffer.pop()
-                for qubit in (qubit_a, qubit_b):
-                    if qubit.state is not None:
-                        qubit.state.remove(qubit)
+                discard(*buffer.pop())
                 discarded += 1
         return discarded
 

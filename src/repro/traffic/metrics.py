@@ -39,32 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .workload import SessionRecord, TrafficCircuit
 
 
-@dataclass(frozen=True)
-class RetiredSummary:
-    """A finished session's telemetry, frozen at retirement time.
-
-    Session retirement (``TrafficEngine(retire_sessions=True)``) folds a
-    terminal :class:`~repro.traffic.workload.SessionRecord` into this
-    aggregate and drops its handle graph — the delivery and matched-pair
-    lists that grow with traffic.  The summary preserves exactly what
-    :func:`build_report` reads per record, so retirement never changes a
-    reported number (ordering included: ``fidelities`` keeps the
-    per-incarnation match order).
-    """
-
-    #: Final request state of the last incarnation.
-    status: RequestStatus
-    #: CONFIRMED deliveries summed over every incarnation.
-    pairs_confirmed: int
-    #: Measured pair fidelities, in match order across incarnations.
-    fidelities: tuple
-    #: Submission time of the last incarnation (ns).
-    t_submitted: float
-    #: Activation time of the last incarnation (ns; None if never shaped
-    #: out of the queue).
-    t_started: Optional[float]
-
-
 @dataclass
 class ClassTally:
     """Admission and completion accounting for one priority class."""
@@ -406,52 +380,28 @@ def record_handles(record: "SessionRecord") -> list:
 
     Recovery replaces a session's handle when it is re-submitted on the
     replacement circuit; delivery accounting must span every
-    incarnation.  Empty for retired records (their handles are gone —
-    read the :class:`RetiredSummary` instead).
+    incarnation.
     """
-    if getattr(record, "handle", None) is None:
-        return []
-    return list(getattr(record, "prior_handles", ())) + [record.handle]
-
-
-def record_status(record: "SessionRecord") -> RequestStatus:
-    """A session's final request state (summary-aware)."""
-    summary = getattr(record, "summary", None)
-    if summary is not None:
-        return summary.status
-    return record.handle.status
+    return record.prior_handles + [record.handle]
 
 
 def record_confirmed(record: "SessionRecord") -> int:
-    """CONFIRMED deliveries across all incarnations (summary-aware)."""
-    summary = getattr(record, "summary", None)
-    if summary is not None:
-        return summary.pairs_confirmed
+    """CONFIRMED deliveries across all incarnations."""
     return sum(1 for handle in record_handles(record)
                for delivery in handle.delivered
                if delivery.status == DeliveryStatus.CONFIRMED)
 
 
 def record_fidelities(record: "SessionRecord") -> list:
-    """Measured fidelities across all incarnations, in match order."""
-    summary = getattr(record, "summary", None)
-    if summary is not None:
-        return list(summary.fidelities)
+    """Measured fidelities across all incarnations, in match order.
+
+    The handle of an arrival on a lost circuit never went through
+    :meth:`~repro.network.builder.Network.submit`, so it carries no
+    ``matched_pairs``.
+    """
     return [pair.fidelity for handle in record_handles(record)
             for pair in getattr(handle, "matched_pairs", [])
             if pair.fidelity is not None]
-
-
-def record_shaping(record: "SessionRecord") -> Optional[float]:
-    """Submission→activation delay (ns), or None if never activated."""
-    summary = getattr(record, "summary", None)
-    if summary is not None:
-        if summary.t_started is None:
-            return None
-        return summary.t_started - summary.t_submitted
-    if record.handle.t_started is None:
-        return None
-    return record.handle.t_started - record.handle.t_submitted
 
 
 def build_report(net: "Network", circuits: Sequence["TrafficCircuit"],
@@ -490,12 +440,11 @@ def build_report(net: "Network", circuits: Sequence["TrafficCircuit"],
             tally.rejected += 1
         # decision "lost": arrival on an unrecoverable circuit — counted
         # below through the outcome, not as an admission decision.
-        outcome = getattr(record, "outcome", "")
-        if outcome == "recovered":
+        if record.outcome == "recovered":
             tally.recovered += 1
-        elif outcome == "lost":
+        elif record.outcome == "lost":
             tally.lost += 1
-        status = record_status(record)
+        status = record.handle.status
         if status == RequestStatus.COMPLETED:
             tally.completed += 1
         elif status == RequestStatus.ABORTED:
@@ -512,8 +461,9 @@ def build_report(net: "Network", circuits: Sequence["TrafficCircuit"],
         circuit_records = per_circuit_records[circuit.index]
         fidelities = [fidelity for record in circuit_records
                       for fidelity in record_fidelities(record)]
-        shaping = [delay for record in circuit_records
-                   if (delay := record_shaping(record)) is not None]
+        shaping = [record.handle.t_started - record.handle.t_submitted
+                   for record in circuit_records
+                   if record.handle.t_started is not None]
         circuit_stats.append(CircuitStats(
             circuit_id=circuit.circuit_id,
             head=circuit.head,
@@ -522,7 +472,7 @@ def build_report(net: "Network", circuits: Sequence["TrafficCircuit"],
             eer=circuit.eer,
             sessions=len(circuit_records),
             completed=sum(1 for record in circuit_records
-                          if record_status(record) == RequestStatus.COMPLETED),
+                          if record.handle.status == RequestStatus.COMPLETED),
             pairs_confirmed=sum(record_confirmed(record)
                                 for record in circuit_records),
             mean_fidelity=mean(fidelities) if fidelities else None,

@@ -63,15 +63,10 @@ from .arrivals import (
 from .faults import FaultEvent, fault_schedule
 from .metrics import (
     RecoveryStats,
-    RetiredSummary,
     TrafficReport,
     build_report,
-    record_handles,
+    record_confirmed,
 )
-
-#: Request states a session cannot leave (retirement eligibility).
-_TERMINAL = (RequestStatus.COMPLETED, RequestStatus.REJECTED,
-             RequestStatus.ABORTED)
 
 
 @dataclass
@@ -114,10 +109,6 @@ class SessionRecord:
     outcome: str = ""
     #: Handles of earlier incarnations (before circuit recovery).
     prior_handles: list = field(default_factory=list)
-    #: Set by session retirement: the record's telemetry folded into a
-    #: slim aggregate, after which ``handle``/``prior_handles`` are
-    #: dropped (reports read the summary instead — same numbers).
-    summary: Optional[RetiredSummary] = None
 
 
 class TrafficEngine:
@@ -138,9 +129,7 @@ class TrafficEngine:
                  snapshot_interval_s: float = 0.5,
                  trace_out: Optional[str] = None,
                  checkpoint_out: Optional[str] = None,
-                 checkpoint_interval_s: float = 1.0,
-                 retire_sessions: bool = False,
-                 retire_interval_s: float = 1.0):
+                 checkpoint_interval_s: float = 1.0):
         """``metric`` picks the routing metric for every circuit;
         ``fail_links``/``mtbf_s``/``mttr_s`` configure the outage model of
         :func:`repro.traffic.faults.fault_schedule`;
@@ -161,13 +150,7 @@ class TrafficEngine:
         simulation checkpoint (:mod:`repro.persist`) to that path every
         ``checkpoint_interval_s`` simulated seconds — atomically, so a
         killed run can resume from the last durable checkpoint via
-        :func:`repro.persist.load_checkpoint` + :meth:`resume_run`.
-        ``retire_sessions`` bounds the engine's memory on long
-        horizons: finished sessions are folded into slim
-        :class:`~repro.traffic.metrics.RetiredSummary` aggregates every
-        ``retire_interval_s`` simulated seconds and their handle graphs
-        (delivery and matched-pair lists) freed, without changing any
-        reported number."""
+        :func:`repro.persist.load_checkpoint` + :meth:`resume_run`."""
         if circuits < 1:
             raise ValueError("need at least one circuit")
         if load <= 0:
@@ -196,8 +179,6 @@ class TrafficEngine:
             raise ValueError("snapshot_interval_s must be positive")
         if checkpoint_interval_s <= 0:
             raise ValueError("checkpoint_interval_s must be positive")
-        if retire_interval_s <= 0:
-            raise ValueError("retire_interval_s must be positive")
         self.net = net
         self.num_circuits = circuits
         self.load = load
@@ -222,12 +203,8 @@ class TrafficEngine:
         self.trace_out = trace_out
         self.checkpoint_out = checkpoint_out
         self.checkpoint_interval_s = checkpoint_interval_s
-        self.retire_sessions = retire_sessions
-        self.retire_interval_s = retire_interval_s
         #: Checkpoints written so far (this process; resets on resume).
         self.checkpoints_written = 0
-        #: Sessions folded into summaries by ``retire_sessions``.
-        self.sessions_retired = 0
         #: Test hook, called as ``on_checkpoint(engine, sim_now_ns)``
         #: after each durable write; dropped from checkpoints.
         self.on_checkpoint: Optional[Callable] = None
@@ -248,7 +225,7 @@ class TrafficEngine:
         self._c_pairs = obs.counter("traffic.pairs_confirmed")
         self._h_latency = obs.histogram("traffic.pair_latency_ms")
         # Bound methods (not lambdas): the registry rides along in engine
-        # checkpoints, and both sources stay correct for retired records.
+        # checkpoints.
         obs.gauge("traffic.sessions_active",
                   source=self._src_sessions_active)
         obs.counter("traffic.sessions_completed",
@@ -278,13 +255,6 @@ class TrafficEngine:
         self._drain_handles: list[RequestHandle] = []
         self._drain_deadline_ns = 0.0
         self._ckpt_handle = None
-        self._retire_handle = None
-        # Indices of records not yet retired, and those seen terminal on
-        # the previous sweep (retirement is two-phase: a session must
-        # stay terminal for a full interval so late tail-delivery
-        # matches have landed before its telemetry is frozen).
-        self._retire_pending: list[int] = []
-        self._retire_ready: set[int] = set()
         # Endpoint stream (-1) is disjoint from the per-circuit arrival
         # streams (indices >= 0) and the fault stream (-2).
         self._rng = random.Random(stream_seed(self.seed, -1))
@@ -297,20 +267,13 @@ class TrafficEngine:
     def _src_sessions_active(self) -> int:
         """Gauge source: sessions currently ACTIVE or QUEUED."""
         return sum(1 for record in self.records
-                   if record.summary is None
-                   and record.handle.status in (RequestStatus.ACTIVE,
-                                                RequestStatus.QUEUED))
+                   if record.handle.status in (RequestStatus.ACTIVE,
+                                               RequestStatus.QUEUED))
 
     def _src_sessions_completed(self) -> int:
         """Counter source: sessions that reached COMPLETED."""
-        count = 0
-        for record in self.records:
-            if record.summary is not None:
-                if record.summary.status == RequestStatus.COMPLETED:
-                    count += 1
-            elif record.handle.status == RequestStatus.COMPLETED:
-                count += 1
-        return count
+        return sum(1 for record in self.records
+                   if record.handle.status == RequestStatus.COMPLETED)
 
     # ------------------------------------------------------------------
     # Circuit installation
@@ -529,8 +492,6 @@ class TrafficEngine:
         for spec in schedule:
             sim.schedule_at(self._start_ns + spec.arrival_ns,
                             self._submit, spec)
-        if self.retire_sessions:
-            self._arm_retire()
         if self.checkpoint_out is not None:
             self._arm_checkpoint()
 
@@ -546,9 +507,8 @@ class TrafficEngine:
             self.net.run(until_s=(self._start_ns + self._horizon_ns) / S)
             self._drain_handles = [
                 record.handle for record in self.records
-                if record.summary is None
-                and record.handle.status in (RequestStatus.ACTIVE,
-                                             RequestStatus.QUEUED)]
+                if record.handle.status in (RequestStatus.ACTIVE,
+                                            RequestStatus.QUEUED)]
             self._drain_deadline_ns = sim.now + self._drain_s * S
             self._phase = "drain"
         if self._phase == "drain":
@@ -565,9 +525,6 @@ class TrafficEngine:
         if self._ckpt_handle is not None:
             self._ckpt_handle.cancel()
             self._ckpt_handle = None
-        if self._retire_handle is not None:
-            self._retire_handle.cancel()
-            self._retire_handle = None
         elapsed_ns = sim.now - self._start_ns
         self._elapsed_ns = elapsed_ns
         for circuit in self.circuits:
@@ -593,7 +550,7 @@ class TrafficEngine:
                             obs=self.net.obs)
 
     # ------------------------------------------------------------------
-    # Durable checkpoints and session retirement
+    # Durable checkpoints
     # ------------------------------------------------------------------
 
     def _arm_checkpoint(self) -> None:
@@ -612,69 +569,6 @@ class TrafficEngine:
         self.checkpoints_written += 1
         if self.on_checkpoint is not None:
             self.on_checkpoint(self, self.net.sim.now)
-
-    def _arm_retire(self) -> None:
-        """Schedule the next session-retirement sweep."""
-        self._retire_handle = self.net.sim.schedule(
-            self.retire_interval_s * S, self._retire_tick)
-
-    def _retire_tick(self) -> None:
-        self._arm_retire()
-        self._sweep_retirable()
-
-    def _sweep_retirable(self) -> None:
-        """Fold sessions terminal for a full interval into summaries.
-
-        Two-phase: a record seen retirable on sweep N is retired on
-        sweep N+1.  The interval between sightings dwarfs the classical
-        message delays, so any in-flight tail delivery whose match would
-        still extend the record's fidelity list has landed before the
-        telemetry is frozen — retirement cannot change a reported
-        number.
-        """
-        still: list[int] = []
-        ready = self._retire_ready
-        next_ready: set[int] = set()
-        for index in self._retire_pending:
-            record = self.records[index]
-            if self._retirable(record):
-                if index in ready:
-                    self._retire(record)
-                    continue
-                next_ready.add(index)
-            still.append(index)
-        self._retire_pending = still
-        self._retire_ready = next_ready
-
-    def _retirable(self, record: SessionRecord) -> bool:
-        """Terminal in every incarnation, with no PENDING deliveries."""
-        if record.handle.status not in _TERMINAL:
-            return False
-        return not any(delivery.status == DeliveryStatus.PENDING
-                       for handle in record_handles(record)
-                       for delivery in handle.delivered)
-
-    def _retire(self, record: SessionRecord) -> None:
-        """Replace a finished record's handle graph with an aggregate."""
-        handles = record_handles(record)
-        confirmed = sum(1 for handle in handles
-                        for delivery in handle.delivered
-                        if delivery.status == DeliveryStatus.CONFIRMED)
-        fidelities = tuple(
-            pair.fidelity for handle in handles
-            for pair in getattr(handle, "matched_pairs", [])
-            if pair.fidelity is not None)
-        record.summary = RetiredSummary(
-            status=record.handle.status,
-            pairs_confirmed=confirmed,
-            fidelities=fidelities,
-            t_submitted=record.handle.t_submitted,
-            t_started=record.handle.t_started)
-        for handle in handles:
-            self.net.discard_submission(handle)
-        record.handle = None
-        record.prior_handles = []
-        self.sessions_retired += 1
 
     # ------------------------------------------------------------------
     # Fault injection and circuit recovery
@@ -721,8 +615,7 @@ class TrafficEngine:
             return
         t_failed = self.net.sim.now
         inflight = [record for record in self.records
-                    if record.summary is None
-                    and record.circuit_id == circuit_id
+                    if record.circuit_id == circuit_id
                     and record.handle.status in (RequestStatus.ACTIVE,
                                                  RequestStatus.QUEUED)]
         new_id = self.net.recover_circuit(
@@ -763,10 +656,7 @@ class TrafficEngine:
 
     def _resubmit(self, record: SessionRecord, circuit: TrafficCircuit) -> None:
         """Re-submit an interrupted session on its recovered circuit."""
-        done = sum(1 for handle in record_handles(record)
-                   for delivery in handle.delivered
-                   if delivery.status == DeliveryStatus.CONFIRMED)
-        remaining = record.spec.num_pairs - done
+        remaining = record.spec.num_pairs - record_confirmed(record)
         record.outcome = "recovered"
         if remaining <= 0:
             return
@@ -856,7 +746,6 @@ class TrafficEngine:
             self.records.append(SessionRecord(
                 spec=spec, circuit_id=circuit.circuit_id,
                 handle=handle, decision="lost", outcome="lost"))
-            self._retire_pending.append(len(self.records) - 1)
             return
         cls = spec.priority
         deadline_ns = None
@@ -880,7 +769,6 @@ class TrafficEngine:
         self.records.append(SessionRecord(
             spec=spec, circuit_id=circuit.circuit_id,
             handle=handle, decision=decision))
-        self._retire_pending.append(len(self.records) - 1)
 
 
 def run_traffic(net: Network, horizon_s: float = 5.0,

@@ -196,10 +196,9 @@ class TestThroughputFloors:
 class TestRssCeilings:
     """The soak memory gate (also under `--check-speedups`).
 
-    The checkpoint/retirement PR's leak tripwire: the bell traffic_soak
-    scenario's peak RSS must stay under the ceiling, or session-state
-    growth (handle graphs that retirement should have freed) is creeping
-    back in.
+    The leak tripwire: the bell traffic_soak scenario's peak RSS must
+    stay under the ceiling, or per-session state is growing faster than
+    the pair rate.
     """
 
     def test_ceiling_covers_the_bell_soak(self):

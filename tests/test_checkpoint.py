@@ -6,7 +6,7 @@ Four pillars:
   capturing every durable checkpoint it writes, then resume each capture
   and demand the rendered report *and* the final metrics frame come out
   byte-identical to the uninterrupted run, across formalisms,
-  topologies, fault injection, apps and session retirement;
+  topologies, fault injection and apps;
 * **crash injection** — SIGKILL a real CLI subprocess mid-run, resume
   from the last durable checkpoint, and check no confirmed pair was
   duplicated or lost and the snapshot counter stream stayed monotone;
@@ -44,8 +44,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def _run_with_checkpoints(tmp_path, tag, *, formalism="bell",
                           topology="grid", size=3, circuits=3, load=0.5,
                           horizon=0.8, drain=0.4, interval=0.25,
-                          fail_links=0, apps=None, retire=False,
-                          capture=True):
+                          fail_links=0, apps=None, capture=True):
     """Run a workload to completion, capturing each checkpoint written.
 
     Returns ``(engine, report, captured)`` where ``captured`` is a list
@@ -57,8 +56,7 @@ def _run_with_checkpoints(tmp_path, tag, *, formalism="bell",
     live = tmp_path / f"{tag}.ckpt"
     engine = TrafficEngine(
         net, circuits=circuits, load=load, seed=7, fail_links=fail_links,
-        apps=apps, checkpoint_out=str(live), checkpoint_interval_s=interval,
-        retire_sessions=retire, retire_interval_s=interval)
+        apps=apps, checkpoint_out=str(live), checkpoint_interval_s=interval)
     captured = []
     if capture:
         def snap(eng, now_ns):
@@ -74,8 +72,8 @@ def _run_with_checkpoints(tmp_path, tag, *, formalism="bell",
 # Golden resume-equivalence
 # ----------------------------------------------------------------------
 
-#: Scenario grid: formalisms x topologies, plus faults, apps and
-#: retirement riding on the bell/grid base.  Intervals are chosen so at
+#: Scenario grid: formalisms x topologies, plus faults and apps riding
+#: on the bell/grid base.  Intervals are chosen so at
 #: least one capture lands in the horizon phase and one in the drain.
 GOLDEN = {
     "bell-grid": {},
@@ -83,7 +81,6 @@ GOLDEN = {
                 "interval": 0.2},
     "bell-random": {"topology": "erdos-renyi", "size": 8, "circuits": 2},
     "bell-grid-faults-apps": {"fail_links": 1, "apps": ["qkd"]},
-    "bell-grid-retire": {"retire": True},
 }
 
 
@@ -132,38 +129,6 @@ class TestResumeEquivalence:
         engine.run(horizon_s=0.1, drain_s=0.05)
         with pytest.raises(RuntimeError, match="already finished"):
             engine.resume_run()
-
-
-class TestRetirement:
-    def test_retirement_changes_no_reported_number(self, tmp_path):
-        base_engine, base, _ = _run_with_checkpoints(
-            tmp_path, "retire-off", capture=False)
-        ret_engine, ret, _ = _run_with_checkpoints(
-            tmp_path, "retire-on", retire=True, capture=False)
-        assert ret_engine.sessions_retired > 0
-        assert ret.render() == base.render()
-        # The retirement sweep schedules its own events, so only the
-        # kernel's sim.* counters may differ between the two runs.
-        for frame in (base.obs, ret.obs):
-            assert frame is not None
-        base_counters = {name: value
-                         for name, value in base.obs["counters"].items()
-                         if not name.startswith("sim.")}
-        ret_counters = {name: value
-                        for name, value in ret.obs["counters"].items()
-                        if not name.startswith("sim.")}
-        assert ret_counters == base_counters
-        assert ret.obs["gauges"] == base.obs["gauges"]
-
-    def test_retired_records_free_their_handle_graphs(self, tmp_path):
-        engine, report, _ = _run_with_checkpoints(
-            tmp_path, "retire-free", retire=True, capture=False)
-        retired = [r for r in engine.records if r.summary is not None]
-        assert len(retired) == engine.sessions_retired > 0
-        for record in retired:
-            assert record.handle is None
-            assert record.prior_handles == []
-            assert record.summary.pairs_confirmed >= 0
 
 
 # ----------------------------------------------------------------------
@@ -342,57 +307,28 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    def test_version_one_envelope_rejected(self, tmp_path):
-        # A file in the version-1 layout, whose envelope still carried the
-        # Bell weight store's peak occupancy.  Its engine blob is not a
-        # pickle, so deserialising it would fail with "corrupt engine
-        # state": the version check must come first.
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(pickle.dumps({
-            "magic": "repro-checkpoint", "version": 1,
-            "counters": {"request_ids": 0, "circuit_ids": 0,
-                         "qubit_ids": 0},
-            "store_peak_live": 15, "engine_blob": b"version-1 engine"}))
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_old_version_envelope_rejected(self, tmp_path, version):
+        # Older layouts: versions 1-3 carried the process-global ID
+        # counters in the envelope (1 also the Bell weight store's peak
+        # occupancy), 2 pickled P² quantile estimators, and 4 pickled the
+        # session-retirement state.  The engine blob is not a pickle, so
+        # deserialising it would fail with "corrupt engine state": the
+        # version check must come first.
+        envelope = {"magic": "repro-checkpoint", "version": version,
+                    "engine_blob": f"version-{version} engine".encode()}
+        if version < 4:
+            envelope["counters"] = {"request_ids": 0, "circuit_ids": 0,
+                                    "qubit_ids": 0}
+        if version == 1:
+            envelope["store_peak_live"] = 15
+        path = tmp_path / f"v{version}.ckpt"
+        path.write_bytes(pickle.dumps(envelope))
         with pytest.raises(CheckpointError) as excinfo:
             load_checkpoint(path)
         message = str(excinfo.value)
-        assert "file has 1" in message
+        assert f"file has {version}" in message
         assert f"reads {CHECKPOINT_VERSION}" in message
-
-    def test_version_two_envelope_rejected(self, tmp_path):
-        # A file in the version-2 layout, whose pickled histograms still
-        # carried P² quantile estimators.  Its engine blob is not a
-        # pickle, so deserialising it would fail with "corrupt engine
-        # state": the version check must come first.
-        path = tmp_path / "v2.ckpt"
-        path.write_bytes(pickle.dumps({
-            "magic": "repro-checkpoint", "version": 2,
-            "counters": {"request_ids": 0, "circuit_ids": 0,
-                         "qubit_ids": 0},
-            "engine_blob": b"version-2 engine"}))
-        with pytest.raises(CheckpointError) as excinfo:
-            load_checkpoint(path)
-        message = str(excinfo.value)
-        assert "file has 2" in message
-        assert f"reads {CHECKPOINT_VERSION}" in message
-
-    def test_version_three_envelope_rejected(self, tmp_path):
-        # A file in the version-3 layout, whose envelope still carried the
-        # process-global request/circuit/qubit ID counters.  Its engine
-        # blob is not a pickle, so deserialising it would fail with
-        # "corrupt engine state": the version check must come first.
-        path = tmp_path / "v3.ckpt"
-        path.write_bytes(pickle.dumps({
-            "magic": "repro-checkpoint", "version": 3,
-            "counters": {"request_ids": 0, "circuit_ids": 0,
-                         "qubit_ids": 0},
-            "engine_blob": b"version-3 engine"}))
-        with pytest.raises(CheckpointError) as excinfo:
-            load_checkpoint(path)
-        message = str(excinfo.value)
-        assert "file has 3" in message
-        assert f"reads {CHECKPOINT_VERSION}" in message
-        assert CHECKPOINT_VERSION == 4
 
     def test_envelope_carries_no_counters(self, tmp_path):
         # ID streams live in the pickled simulator, not beside it.

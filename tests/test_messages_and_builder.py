@@ -9,9 +9,10 @@ from repro.quantum import BellIndex
 
 def bare_network():
     """A Network shell for matching-logic unit tests: no topology, just
-    the attributes ``_match`` touches (metrics registry, no tracer)."""
+    the attributes ``_match`` touches (fidelity histogram, no tracer)."""
     net = Network.__new__(Network)
     net.obs = MetricsRegistry()
+    net._h_fidelity = net.obs.histogram("traffic.fidelity")
     net.tracer = None
     return net
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.quantum import (
+    FORMALISMS,
     H,
     PAULI_FRAME,
     NoisyOpParams,
@@ -27,6 +28,7 @@ from repro.quantum import (
     create_bell_pair,
     create_pair,
     discard,
+    get_backend,
     measure_qubit,
     pair_fidelity,
     pauli_correct,
@@ -202,6 +204,50 @@ def test_discard_idempotent():
     discard(qa)
     discard(qa)
     assert qa.state is None
+
+
+@pytest.mark.parametrize("formalism", FORMALISMS)
+def test_discard_both_halves_leaves_both_stateless(formalism):
+    qa, qb = get_backend(formalism).create_pair_from_weights(
+        [0.85, 0.07, 0.05, 0.03])
+    state = qa.state
+    discard(qa, qb)
+    assert qa.state is None
+    assert qb.state is None
+    assert state.qubits == []
+    discard(qa, qb)  # already stateless: a no-op
+    assert qa.state is None and qb.state is None
+
+
+def _random_dm(rng, n_qubits):
+    dim = 2 ** n_qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def test_discard_one_half_of_dm_pair_keeps_exact_partner_state():
+    # A generic (non-Bell-diagonal) pair, so the partner's reduced state
+    # is not simply I/2.
+    rho = _random_dm(np.random.default_rng(3), 2)
+    want = np.trace(rho.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+    qa, qb = create_pair(rho)
+    state = qa.state
+    discard(qa)
+    assert qa.state is None
+    assert qb.state is state
+    np.testing.assert_allclose(state.reduced_dm([qb]), want, atol=1e-12)
+
+
+def test_discard_traces_out_when_part_of_the_state_survives():
+    rho = _random_dm(np.random.default_rng(5), 3)
+    qa, qb, qc = Qubit(), Qubit(), Qubit()
+    state = QState(rho, [qa, qb, qc])
+    want = np.einsum("abcabd->cd", rho.reshape([2] * 6))
+    discard(qa, qb)
+    assert qa.state is None and qb.state is None
+    assert qc.state is state
+    np.testing.assert_allclose(state.reduced_dm([qc]), want, atol=1e-12)
 
 
 def test_averaged_swap_dm_perfect_inputs():
