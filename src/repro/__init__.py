@@ -11,7 +11,7 @@ pairs — together with every substrate it depends on:
 * :mod:`repro.hardware` — NV-centre hardware and fibre models,
 * :mod:`repro.linklayer` — the link layer entanglement generation service,
 * :mod:`repro.network` — node/memory/topology assembly,
-* :mod:`repro.control` — routing, signalling and classical transport,
+* :mod:`repro.control` — routing, signalling and circuit liveness,
 * :mod:`repro.core` — the QNP itself (the paper's contribution),
 * :mod:`repro.services` — applications built on the QNP,
 * :mod:`repro.analysis` — experiment and statistics helpers.

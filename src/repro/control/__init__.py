@@ -1,4 +1,10 @@
-"""Control plane: routing, signalling, reliable transport."""
+"""Control plane: routing, signalling and circuit liveness.
+
+The QNP needs its control messages delivered reliably and in order, and
+the paper leaves that to a transport such as TCP or QUIC (Sec 4.1).  Here
+the :class:`~repro.netsim.channels.ClassicalChannel` is reliable and
+ordered by construction, so the control plane has no transport of its own.
+"""
 
 from .routing import (
     CentralController,
@@ -10,7 +16,6 @@ from .routing import (
 )
 from .liveness import LivenessAgent
 from .signalling import SignallingAgent
-from .transport import ReliableEnd, make_reliable_pair
 
 __all__ = [
     "LivenessAgent",
@@ -21,6 +26,4 @@ __all__ = [
     "LOSS_CUTOFF_FRACTION",
     "SHORT_CUTOFF_QUANTILE",
     "SignallingAgent",
-    "ReliableEnd",
-    "make_reliable_pair",
 ]

@@ -144,6 +144,13 @@ class RequestHandle:
         self.t_started: Optional[float] = None
         self.t_completed: Optional[float] = None
         self.estimated_fidelity = estimated_fidelity
+        #: Evaluation-side records that
+        #: :meth:`~repro.network.builder.Network.submit` fills: every
+        #: delivery seen at the tail end, and every pair matched at both
+        #: ends (:class:`~repro.network.builder.MatchedPair`).  They stay
+        #: empty for a handle that never reached a network.
+        self.tail_deliveries: list[PairDelivery] = []
+        self.matched_pairs: list = []
         self._listeners: list = []
 
     @property

@@ -4,11 +4,8 @@ from .fibre import FibreSegment, HeraldedConnection
 from .heralded import (
     MAX_ALPHA,
     MIN_ALPHA,
-    Herald,
     LinkSample,
     MidpointHeraldModel,
-    MidpointStation,
-    Photon,
     SingleClickModel,
 )
 from .memory import apply_memory_noise, apply_pair_noise, stamp
@@ -24,9 +21,6 @@ __all__ = [
     "HeraldedConnection",
     "SingleClickModel",
     "MidpointHeraldModel",
-    "MidpointStation",
-    "Photon",
-    "Herald",
     "LinkSample",
     "MIN_ALPHA",
     "MAX_ALPHA",

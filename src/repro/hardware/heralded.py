@@ -29,9 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..netsim.entity import Entity
-from ..netsim.ports import Component
-from ..netsim.scheduler import Simulator
 from ..quantum.bell import BellIndex
 from .fibre import HeraldedConnection
 from .parameters import HardwareParams
@@ -348,9 +345,8 @@ class MidpointHeraldModel(SingleClickModel):
 
     The analytic base model assumes the midpoint detector integrates over
     the full detection window τ_w with ideal gating.  This variant models
-    the station of :class:`MidpointStation` instead: the detector opens a
-    **coincidence time window** of ``W`` ns when the first photon could
-    arrive, so
+    a midpoint station whose detector opens a **coincidence time window**
+    of ``W`` ns when the first photon could arrive, so
 
     * only the fraction ``1 − exp(−W/τ_e)`` of the exponentially shaped
       photon wave-packet (emission constant τ_e) falls inside the window —
@@ -394,103 +390,3 @@ class MidpointHeraldModel(SingleClickModel):
         """Dark-count probability integrated over the coincidence window."""
         return 1.0 - math.exp(
             -self.params.dark_count_rate * self.coincidence_window)
-
-
-@dataclass(frozen=True)
-class Photon:
-    """One photon arriving at the midpoint station.
-
-    ``detector`` records which of the station's two detectors the optics
-    route it to (0 or 1) — on a lone click this determines the heralded
-    Bell state (Ψ+ for detector 0, Ψ− for detector 1).
-    """
-
-    detector: int = 0
-
-
-@dataclass(frozen=True)
-class Herald:
-    """Outcome of one coincidence window, announced to both endpoints."""
-
-    success: bool
-    bell_index: Optional[BellIndex]
-    #: Number of detector clicks inside the window (1 on success).
-    clicks: int
-
-
-class MidpointStation(Entity, Component):
-    """Event-level midpoint heralding station with a coincidence window.
-
-    The component realisation of the single-click midpoint (Sec 2.2):
-    two photon ports, ``a`` and ``b`` (protocol ``"photon"``), face the
-    link endpoints.  The first :class:`Photon` to arrive opens a
-    coincidence window of ``coincidence_window`` ns; when it closes,
-    **exactly one** click heralds a pair (Ψ+ or Ψ− depending on which
-    detector fired) and anything else — zero clicks or both photons
-    detected — is rejected.  The verdict is broadcast as a
-    :class:`Herald` out of every connected port.
-
-    In full-network runs the link layer's analytic fast-forward skips the
-    photon-level events; the builder still attaches a station per
-    midpoint link so heralds are accounted on the same component
-    (:meth:`record_herald`), and :class:`MidpointHeraldModel` carries the
-    window's effect on the success statistics.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "",
-                 coincidence_window: float = 25.0):
-        super().__init__(sim, name or "midpoint-station")
-        if coincidence_window <= 0:
-            raise ValueError("coincidence window must be positive")
-        self.coincidence_window = coincidence_window
-        self.add_port("a", "photon", handler=self._on_photon)
-        self.add_port("b", "photon", handler=self._on_photon)
-        self._window_clicks: Optional[list[Photon]] = None
-        #: Counters: windows closed, successful heralds, rejections.
-        self.windows = 0
-        self.heralds = 0
-        self.rejected = 0
-
-    def _on_photon(self, photon: Photon) -> None:
-        if self._window_clicks is None:
-            # First arrival opens the window; the closing event is never
-            # cancelled, so use the pooled no-handle path.
-            self._window_clicks = [photon]
-            self.sim.post(self.coincidence_window, self._close_window)
-        else:
-            self._window_clicks.append(photon)
-
-    def _close_window(self) -> None:
-        clicks = self._window_clicks or []
-        self._window_clicks = None
-        self.windows += 1
-        if len(clicks) == 1:
-            bell_index = (BellIndex.PSI_PLUS if clicks[0].detector == 0
-                          else BellIndex.PSI_MINUS)
-            self.heralds += 1
-            herald = Herald(success=True, bell_index=bell_index, clicks=1)
-        else:
-            # Zero clicks (both photons lost) or a coincidence (both
-            # photons detected — no which-path erasure, no entanglement).
-            self.rejected += 1
-            herald = Herald(success=False, bell_index=None,
-                            clicks=len(clicks))
-        self._broadcast(herald)
-
-    def record_herald(self, bell_index: BellIndex) -> None:
-        """Account one analytically fast-forwarded successful window.
-
-        Called by the link layer when the geometric fast-forward delivers
-        a pair: the failed windows it skipped are not replayed (they are
-        exactly what the fast-forward elides), but the successful herald
-        is announced over the ports like an event-level one.
-        """
-        self.windows += 1
-        self.heralds += 1
-        self._broadcast(Herald(success=True, bell_index=bell_index, clicks=1))
-
-    def _broadcast(self, herald: Herald) -> None:
-        for port_name in ("a", "b"):
-            port = self.port(port_name)
-            if port.connected:
-                port.tx(herald)

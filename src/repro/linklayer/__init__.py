@@ -1,13 +1,12 @@
 """Link layer: the entanglement generation service of ref [19]."""
 
-from .egp import DELIVERY, PHOTON, Link
+from .egp import DELIVERY, Link
 from .scheduler import FairShareScheduler
 from .service import EntanglementId, LinkPairDelivery, LinkRequestState
 
 __all__ = [
     "Link",
     "DELIVERY",
-    "PHOTON",
     "FairShareScheduler",
     "LinkPairDelivery",
     "LinkRequestState",

@@ -49,7 +49,7 @@ import numpy as np
 
 from ..hardware.heralded import SingleClickModel
 from ..netsim.entity import Entity
-from ..netsim.ports import Component, Port, connect
+from ..netsim.ports import Component, Port
 from ..netsim.scheduler import SerialCounter, Simulator
 from ..network.arbiter import acquire_ordered, release_all
 from ..network.node import QuantumNode
@@ -62,8 +62,6 @@ from .service import LinkPairDelivery, LinkRequestState
 #: Protocol tag of the link layer's pair-delivery ports (link → network
 #: layer, one port per endpoint node).
 DELIVERY = "egp.delivery"
-#: Protocol tag of the midpoint-station photon/herald ports.
-PHOTON = "photon"
 
 #: Uniforms per refill of the per-link RNG buffer (one numpy call each).
 _RNG_BLOCK = 256
@@ -73,10 +71,7 @@ class Link(Entity, Component):
     """A physical link plus its link layer protocol instance.
 
     Ports: one ``deliver:<node>`` port per endpoint (protocol
-    :data:`DELIVERY`) over which heralded pairs reach the network layer,
-    and — when a :class:`~repro.hardware.heralded.MidpointStation` is
-    attached — ``midpoint:a``/``midpoint:b`` ports (protocol
-    :data:`PHOTON`) over which the station reports heralds.
+    :data:`DELIVERY`) over which heralded pairs reach the network layer.
     """
 
     def __init__(self, sim: Simulator, name: str, node_a: QuantumNode,
@@ -101,10 +96,6 @@ class Link(Entity, Component):
         self._delivery_ports: dict[str, Port] = {
             node.name: self.add_port(f"deliver:{node.name}", DELIVERY)
             for node in (node_a, node_b)}
-        #: Optional midpoint heralding station (see :meth:`attach_station`).
-        self.station = None
-        #: Most recent herald reported by the attached station.
-        self.last_herald = None
         self._requests: dict[str, LinkRequestState] = {}
         self._pending_endorsements: dict[str, set] = {}
         #: Scheduling hints: purposes that a neighbouring network layer
@@ -152,25 +143,6 @@ class Link(Entity, Component):
         except KeyError:
             raise ValueError(
                 f"{node_name} is not an endpoint of {self.name}") from None
-
-    def attach_station(self, station) -> None:
-        """Wire a midpoint heralding station to this link.
-
-        Connects the station's ``a``/``b`` photon ports to fresh
-        ``midpoint:a``/``midpoint:b`` ports here, so heralds the station
-        reports flow over the component graph; the analytic fast-forward
-        then accounts each delivered pair as one heralded window on the
-        station (see :meth:`_deliver_pair`).
-        """
-        self.station = station
-        connect(self.add_port("midpoint:a", PHOTON, handler=self._on_herald),
-                station.port("a"))
-        connect(self.add_port("midpoint:b", PHOTON, handler=self._on_herald),
-                station.port("b"))
-
-    def _on_herald(self, herald) -> None:
-        """Record the station's latest herald outcome (both sides hear it)."""
-        self.last_herald = herald
 
     def set_request(self, purpose_id: str, min_fidelity: float, lpr: float,
                     endorser: Optional[str] = None) -> None:
@@ -471,11 +443,6 @@ class Link(Entity, Component):
             self.trace.record(t_create, self.name, "EGP_PAIR",
                               purpose=request.purpose_id,
                               correlator=correlator)
-        if self.station is not None:
-            # The analytic fast-forward skips the photon-level events, so
-            # account the herald on the station directly: one successful
-            # single-click window per delivered pair.  No RNG is drawn.
-            self.station.record_herald(bell_index)
         ports = self._delivery_ports
         for node, qubit in ((self.node_a, qubit_a), (self.node_b, qubit_b)):
             # tx() raises PortNotConnectedError (a RuntimeError naming the

@@ -7,11 +7,12 @@ Public API:
 * :class:`Component` / :class:`Port` / :func:`connect` — the typed port
   graph every wired entity exchanges messages over,
 * :class:`Timer` / :class:`PeriodicTimer` — cancellable timers,
-* :class:`ClassicalChannel` / :class:`LossyChannel` — classical links,
+* :class:`ClassicalChannel` — reliable, in-order classical links (inject
+  messages through the adapter :func:`subscribe` returns),
 * time constants (``NS``, ``US``, ``MS``, ``S``) and fibre helpers.
 """
 
-from .channels import CLASSICAL, ChannelEnd, ClassicalChannel, LossyChannel
+from .channels import CLASSICAL, ClassicalChannel
 from .entity import Entity
 from .ports import (
     CallbackComponent,
@@ -56,8 +57,6 @@ __all__ = [
     "Timer",
     "PeriodicTimer",
     "ClassicalChannel",
-    "LossyChannel",
-    "ChannelEnd",
     "CLASSICAL",
     "NS",
     "US",

@@ -14,8 +14,8 @@ an earlier one (like a TCP stream would).
 Wiring: a channel is a :class:`~repro.netsim.ports.Component` with two
 ports, ``"a"`` and ``"b"`` (protocol :data:`CLASSICAL`).  A message
 received on one port is delivered out of the opposite port after the
-channel delay.  ``channel.ends[i]`` (a :class:`ChannelEnd`) names one end
-for code that injects messages with ``send`` or needs the matching port.
+channel delay.  Code that injects messages by hand subscribes to a port
+(:func:`~repro.netsim.ports.subscribe`) and sends with the adapter's ``tx``.
 """
 
 from __future__ import annotations
@@ -30,24 +30,6 @@ from .units import fibre_delay
 #: Protocol tag spoken by classical-channel ports and the node ports that
 #: attach to them.
 CLASSICAL = "classical"
-
-
-class ChannelEnd:
-    """Endpoint handle of a classical channel: index 0 is port ``"a"``,
-    index 1 is port ``"b"``."""
-
-    def __init__(self, channel: "ClassicalChannel", index: int):
-        self._channel = channel
-        self._index = index
-
-    @property
-    def port(self):
-        """The channel port this end corresponds to."""
-        return self._channel.port("a" if self._index == 0 else "b")
-
-    def send(self, message: Any) -> None:
-        """Send ``message`` to the opposite endpoint."""
-        self._channel._transmit(self._index, message)
 
 
 class ClassicalChannel(Entity, Component):
@@ -74,7 +56,6 @@ class ClassicalChannel(Entity, Component):
         self.processing_delay = processing_delay
         self.add_port("a", CLASSICAL, handler=self._rx_a)
         self.add_port("b", CLASSICAL, handler=self._rx_b)
-        self.ends = (ChannelEnd(self, 0), ChannelEnd(self, 1))
         # Earliest allowed delivery time per direction, to preserve FIFO
         # ordering when the processing delay shrinks mid-run.
         self._last_delivery = [0.0, 0.0]
@@ -128,27 +109,3 @@ class ClassicalChannel(Entity, Component):
         # is attached — the same failure mode the receiver-less legacy
         # channel had.
         self.port("a" if index == 0 else "b").tx(message)
-
-
-class LossyChannel(ClassicalChannel):
-    """A classical channel that can drop messages with a fixed probability.
-
-    The QNP itself assumes a reliable transport; this class exists so the
-    transport layer (:mod:`repro.control.transport`) has something real to
-    provide reliability *over*, and for failure-injection tests.
-    """
-
-    def __init__(self, sim: Simulator, length_km: float = 0.0,
-                 processing_delay: float = 0.0, loss_probability: float = 0.0,
-                 name: str = ""):
-        super().__init__(sim, length_km, processing_delay, name)
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
-        self.loss_probability = loss_probability
-        self.messages_dropped = 0
-
-    def _transmit(self, from_index: int, message: Any) -> None:
-        if self.sim.rng.random() < self.loss_probability:
-            self.messages_dropped += 1
-            return
-        super()._transmit(from_index, message)

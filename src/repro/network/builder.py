@@ -34,11 +34,7 @@ from ..core.requests import (
     UserRequest,
 )
 from ..hardware.fibre import HeraldedConnection
-from ..hardware.heralded import (
-    MidpointHeraldModel,
-    MidpointStation,
-    SingleClickModel,
-)
+from ..hardware.heralded import MidpointHeraldModel, SingleClickModel
 from ..hardware.parameters import HardwareParams, NEAR_TERM, SIMULATION
 from ..linklayer.egp import Link
 from ..netsim.channels import ClassicalChannel
@@ -71,8 +67,6 @@ class MatchedPair:
 @dataclass
 class _Submission:
     handle: RequestHandle
-    tail_deliveries: list = field(default_factory=list)
-    matched: list = field(default_factory=list)
     oracle_min_fidelity: Optional[float] = None
     record_fidelity: bool = False
     #: Evaluation-side consumer invoked with each :class:`MatchedPair`
@@ -83,7 +77,7 @@ class _Submission:
 
 #: Physical-layer models the builder can wire per link: the analytic
 #: fast-forward (the paper's model, byte-identical default) or the
-#: time-windowed midpoint heralding station.
+#: midpoint station's coincidence window (:class:`MidpointHeraldModel`).
 PHYSICAL_MODELS = ("analytic", "midpoint")
 
 
@@ -110,8 +104,6 @@ class Network:
         self.physical = physical
         self.nodes: dict[str, QuantumNode] = {}
         self.links: dict[frozenset, Link] = {}
-        #: Midpoint heralding stations by edge (``physical="midpoint"``).
-        self.stations: dict[frozenset, MidpointStation] = {}
         self.channels: list[ClassicalChannel] = []
         self._channel_by_edge: dict[frozenset, ClassicalChannel] = {}
         self.qnps: dict[str, QNPNode] = {}
@@ -267,12 +259,6 @@ class Network:
                     slice_attempts, backend=self.backend)
         node_a.attach_link(link, name_b)
         node_b.attach_link(link, name_a)
-        if physical == "midpoint":
-            station = MidpointStation(
-                self.sim, name=f"mid:{name_a}~{name_b}",
-                coincidence_window=model.coincidence_window)
-            link.attach_station(station)
-            self.stations[frozenset((name_a, name_b))] = station
         channel = ClassicalChannel(self.sim, length_km,
                                    name=f"c:{name_a}~{name_b}")
         connect_ports(node_a.classical_port(name_b), channel.port("a"))
@@ -572,8 +558,6 @@ class Network:
         decision = self._c_policer.get(handle.status)
         if decision is not None:
             decision.inc()
-        handle.tail_deliveries = submission.tail_deliveries  # type: ignore[attr-defined]
-        handle.matched_pairs = submission.matched  # type: ignore[attr-defined]
         handle.on_delivery(partial(self._on_head_delivery, submission))
         return handle
 
@@ -589,7 +573,7 @@ class Network:
 
     def _on_tail_delivery(self, submission: _Submission,
                           delivery: PairDelivery) -> None:
-        submission.tail_deliveries.append(delivery)
+        submission.handle.tail_deliveries.append(delivery)
         if delivery.status != DeliveryStatus.CONFIRMED:
             return
         self._match(submission, delivery, is_head=False)
@@ -629,7 +613,7 @@ class Network:
             # heavy traffic a cutoff discard can race the delivery match,
             # so either half may already be stateless.
             discard(head_delivery.qubit, tail_delivery.qubit)
-        submission.matched.append(matched)
+        submission.handle.matched_pairs.append(matched)
 
     # ------------------------------------------------------------------
     # Simulation driving and knobs

@@ -11,7 +11,7 @@ the simulated numbers.
 The emitter is observation-only by construction: its tick events never
 touch ``sim.rng`` or any protocol state, so enabling snapshots cannot
 change what the simulation computes — only what it reports (the CI
-``obs-smoke`` job holds the throughput floor with snapshots on).
+``obs-smoke`` job pins a soak with snapshots on to the plain soak).
 """
 
 from __future__ import annotations

@@ -393,14 +393,9 @@ def record_confirmed(record: "SessionRecord") -> int:
 
 
 def record_fidelities(record: "SessionRecord") -> list:
-    """Measured fidelities across all incarnations, in match order.
-
-    The handle of an arrival on a lost circuit never went through
-    :meth:`~repro.network.builder.Network.submit`, so it carries no
-    ``matched_pairs``.
-    """
+    """Measured fidelities across all incarnations, in match order."""
     return [pair.fidelity for handle in record_handles(record)
-            for pair in getattr(handle, "matched_pairs", [])
+            for pair in handle.matched_pairs
             if pair.fidelity is not None]
 
 

@@ -3,8 +3,8 @@
 The component-and-port API is the seam every layer of the stack plugs
 into, so accidental signature drift breaks downstream wiring silently.
 This test pins the public signatures of the wiring layer (ports, nodes,
-channels, links, transport endpoints, the builder and the midpoint
-station) against a committed JSON snapshot.
+channels, links, the builder and the heralding models) against a
+committed JSON snapshot.
 
 When a change is *intentional*, regenerate the snapshot and commit it
 together with the code change::
@@ -29,14 +29,9 @@ REGEN_HINT = ("signature drift in the wiring layer; if intentional, "
 
 
 def _targets():
-    from repro.control.transport import ReliableEnd
-    from repro.hardware.heralded import (
-        MidpointHeraldModel,
-        MidpointStation,
-        SingleClickModel,
-    )
+    from repro.hardware.heralded import MidpointHeraldModel, SingleClickModel
     from repro.linklayer.egp import Link
-    from repro.netsim.channels import ChannelEnd, ClassicalChannel
+    from repro.netsim.channels import ClassicalChannel
     from repro.netsim.ports import (
         CallbackComponent,
         Component,
@@ -54,16 +49,13 @@ def _targets():
         "netsim.ports.connect": connect,
         "netsim.ports.subscribe": subscribe,
         "netsim.channels.ClassicalChannel": ClassicalChannel,
-        "netsim.channels.ChannelEnd": ChannelEnd,
         "network.node.QuantumNode": QuantumNode,
         "network.node.service_protocol": service_protocol,
         "network.builder.Network": Network,
         "network.builder.build_network_from_graph": build_network_from_graph,
         "linklayer.egp.Link": Link,
-        "control.transport.ReliableEnd": ReliableEnd,
         "hardware.heralded.SingleClickModel": SingleClickModel,
         "hardware.heralded.MidpointHeraldModel": MidpointHeraldModel,
-        "hardware.heralded.MidpointStation": MidpointStation,
     }
 
 

@@ -1,12 +1,10 @@
-"""Tests for routing (fidelity budget), signalling and reliable transport."""
+"""Tests for routing (fidelity budget) and signalling."""
 
 import pytest
 
 from repro.control import RouteError
-from repro.control.transport import make_reliable_pair
 from repro.core import CircuitRole, RequestStatus
-from repro.netsim import LossyChannel, MS, S, Simulator
-from repro.netsim.ports import subscribe
+from repro.netsim import MS, S
 from repro.network.builder import build_chain_network, build_dumbbell_network
 
 
@@ -137,51 +135,3 @@ class TestSignalling:
         second = net.establish_circuit("A1", "B1", 0.8)
         assert first != second
         assert set(net.qnps["MA"].circuit_ids) == {first, second}
-
-
-class TestReliableTransport:
-    def test_delivers_over_lossy_channel(self):
-        sim = Simulator(seed=5)
-        channel = LossyChannel(sim, length_km=1.0, loss_probability=0.3)
-        end_a, end_b = make_reliable_pair(sim, channel, rto=1 * MS)
-        received = []
-        subscribe(end_b.port("rx"), received.append)
-        subscribe(end_a.port("rx"), lambda m: None)
-        for i in range(50):
-            end_a.send(i)
-        sim.run(until=5 * S)
-        assert received == list(range(50))
-        assert end_a.retransmissions > 0
-
-    def test_in_order_without_loss(self):
-        sim = Simulator(seed=6)
-        channel = LossyChannel(sim, length_km=1.0, loss_probability=0.0)
-        end_a, end_b = make_reliable_pair(sim, channel, rto=1 * MS)
-        received = []
-        subscribe(end_b.port("rx"), received.append)
-        subscribe(end_a.port("rx"), lambda m: None)
-        for i in range(20):
-            end_a.send(i)
-        sim.run(until=1 * S)
-        assert received == list(range(20))
-        assert end_a.retransmissions == 0
-
-    def test_bidirectional(self):
-        sim = Simulator(seed=7)
-        channel = LossyChannel(sim, length_km=1.0, loss_probability=0.2)
-        end_a, end_b = make_reliable_pair(sim, channel, rto=1 * MS)
-        inbox_a, inbox_b = [], []
-        subscribe(end_a.port("rx"), inbox_a.append)
-        subscribe(end_b.port("rx"), inbox_b.append)
-        for i in range(20):
-            end_a.send(("to-b", i))
-            end_b.send(("to-a", i))
-        sim.run(until=5 * S)
-        assert inbox_b == [("to-b", i) for i in range(20)]
-        assert inbox_a == [("to-a", i) for i in range(20)]
-
-    def test_rto_validation(self):
-        sim = Simulator()
-        channel = LossyChannel(sim)
-        with pytest.raises(ValueError):
-            make_reliable_pair(sim, channel, rto=0.0)

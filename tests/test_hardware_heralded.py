@@ -7,12 +7,9 @@ import pytest
 
 from repro.hardware import (
     FibreSegment,
-    Herald,
     HeraldedConnection,
     MidpointHeraldModel,
-    MidpointStation,
     NEAR_TERM,
-    Photon,
     SIMULATION,
     SingleClickModel,
 )
@@ -232,59 +229,6 @@ class TestMidpointHeraldModel:
         assert wide.dark_probability() > narrow.dark_probability()
 
 
-class TestMidpointStation:
-    def make(self, window=25.0):
-        sim = Simulator(seed=1)
-        station = MidpointStation(sim, name="mid", coincidence_window=window)
-        heralds = []
-        from repro.netsim.ports import subscribe
-
-        subscribe(station.port("a"), heralds.append)
-        return sim, station, heralds
-
-    def test_non_positive_window_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            MidpointStation(sim, coincidence_window=0.0)
-
-    def test_single_click_heralds_success(self):
-        sim, station, heralds = self.make()
-        station.port("a").peer  # port must exist
-        station._on_photon(Photon(detector=0))
-        sim.run()
-        assert station.windows == 1 and station.heralds == 1
-        assert heralds == [Herald(success=True,
-                                  bell_index=BellIndex.PSI_PLUS, clicks=1)]
-
-    def test_detector_one_heralds_psi_minus(self):
-        sim, station, heralds = self.make()
-        station._on_photon(Photon(detector=1))
-        sim.run()
-        assert heralds[0].bell_index is BellIndex.PSI_MINUS
-
-    def test_double_click_within_window_rejected(self):
-        sim, station, heralds = self.make()
-        station._on_photon(Photon(detector=0))
-        station._on_photon(Photon(detector=1))
-        sim.run()
-        assert station.windows == 1 and station.rejected == 1
-        assert heralds == [Herald(success=False, bell_index=None, clicks=2)]
-
-    def test_photons_outside_window_open_new_window(self):
-        sim, station, heralds = self.make(window=10.0)
-        station._on_photon(Photon(detector=0))
-        sim.run()
-        station._on_photon(Photon(detector=0))
-        sim.run()
-        assert station.windows == 2 and station.heralds == 2
-
-    def test_record_herald_counts_fast_forwarded_success(self):
-        sim, station, heralds = self.make()
-        station.record_herald(BellIndex.PSI_PLUS)
-        assert station.windows == 1 and station.heralds == 1
-        assert heralds[0].success and heralds[0].bell_index is BellIndex.PSI_PLUS
-
-
 class TestMidpointNetwork:
     def test_builder_wires_station_per_link(self):
         from repro.network.builder import Network
@@ -294,8 +238,6 @@ class TestMidpointNetwork:
         net.add_node("a")
         net.add_node("b")
         link = net.connect("a", "b", 0.002)
-        station = net.stations[frozenset(("a", "b"))]
-        assert link.station is station
         assert isinstance(link.model, MidpointHeraldModel)
 
     def test_unknown_physical_model_rejected(self):
@@ -318,17 +260,17 @@ class TestMidpointNetwork:
         net.add_node("a")
         net.add_node("b")
         net.add_node("c")
-        net.connect("a", "b", 0.002)
-        net.connect("b", "c", 0.002, physical="midpoint")
-        assert frozenset(("a", "b")) not in net.stations
-        assert frozenset(("b", "c")) in net.stations
+        analytic = net.connect("a", "b", 0.002)
+        midpoint = net.connect("b", "c", 0.002, physical="midpoint")
+        assert not isinstance(analytic.model, MidpointHeraldModel)
+        assert isinstance(midpoint.model, MidpointHeraldModel)
 
     def test_topology_builder_threads_physical_model(self):
         from repro.traffic import build_topology
 
         net = build_topology("grid", 2, seed=7, formalism="bell",
                              physical="midpoint")
-        assert set(net.stations) == set(net.links)
+        assert net.links
         for link in net.links.values():
             assert isinstance(link.model, MidpointHeraldModel)
 
@@ -345,9 +287,6 @@ class TestMidpointNetwork:
         link = Link(sim, "alice-bob", node_a, node_b, model, 100)
         node_a.attach_link(link, "bob")
         node_b.attach_link(link, "alice")
-        station = MidpointStation(sim, name="mid",
-                                  coincidence_window=model.coincidence_window)
-        link.attach_station(station)
         inbox_a = []
 
         def consume_a(delivery):
@@ -362,5 +301,4 @@ class TestMidpointNetwork:
         link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
         sim.run(until=1 * S)
         assert len(inbox_a) > 5
-        assert station.heralds == len(inbox_a)
-        assert link.last_herald is not None and link.last_herald.success
+        assert link.pairs_generated == len(inbox_a)

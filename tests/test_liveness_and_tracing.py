@@ -16,13 +16,13 @@ class TestChannelCut:
         channel = ClassicalChannel(sim, length_km=1.0)
         inbox = []
         subscribe(channel.port("b"), inbox.append)
-        subscribe(channel.port("a"), lambda m: None)
+        end_a = subscribe(channel.port("a"), lambda m: None)
         channel.cut()
-        channel.ends[0].send("lost")
+        end_a.tx("lost")
         sim.run()
         assert inbox == []
         channel.restore()
-        channel.ends[0].send("found")
+        end_a.tx("found")
         sim.run()
         assert inbox == ["found"]
 

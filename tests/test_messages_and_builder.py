@@ -1,7 +1,13 @@
 """Light unit tests: message dataclasses and the Network facade internals."""
 
 from repro.core.messages import Complete, Direction, Expire, Forward, Track
-from repro.core.requests import DeliveryStatus, PairDelivery, RequestType
+from repro.core.requests import (
+    DeliveryStatus,
+    PairDelivery,
+    RequestHandle,
+    RequestType,
+    UserRequest,
+)
 from repro.network.builder import MatchedPair, Network, _Submission
 from repro.obs import MetricsRegistry
 from repro.quantum import BellIndex
@@ -57,6 +63,12 @@ class TestMessages:
         assert expire.direction.reverse is Direction.DOWNSTREAM
 
 
+def make_submission(**fields):
+    """A submission whose handle collects the matched pairs."""
+    return _Submission(handle=RequestHandle(UserRequest(num_pairs=2)),
+                       **fields)
+
+
 def make_delivery(pair_id, status=DeliveryStatus.CONFIRMED, qubit=None):
     return PairDelivery(request_id="r0", sequence=0, status=status,
                         qubit=qubit, measurement=None,
@@ -66,36 +78,36 @@ def make_delivery(pair_id, status=DeliveryStatus.CONFIRMED, qubit=None):
 
 class TestSubmissionMatching:
     def test_matching_requires_both_ends(self):
-        submission = _Submission(handle=None, record_fidelity=True)
+        submission = make_submission(record_fidelity=True)
         net = bare_network()  # matching logic only
         net._match(submission, make_delivery(("p", 0)), is_head=True)
-        assert submission.matched == []
+        assert submission.handle.matched_pairs == []
         net._match(submission, make_delivery(("p", 0)), is_head=False)
-        assert len(submission.matched) == 1
-        matched = submission.matched[0]
+        assert len(submission.handle.matched_pairs) == 1
+        matched = submission.handle.matched_pairs[0]
         assert isinstance(matched, MatchedPair)
         assert matched.fidelity is None  # no qubits attached
         assert matched.accepted
 
     def test_distinct_pair_ids_do_not_match(self):
-        submission = _Submission(handle=None, record_fidelity=True)
+        submission = make_submission(record_fidelity=True)
         net = bare_network()
         net._match(submission, make_delivery(("p", 0)), is_head=True)
         net._match(submission, make_delivery(("p", 1)), is_head=False)
-        assert submission.matched == []
+        assert submission.handle.matched_pairs == []
 
     def test_matching_disabled_without_recording(self):
-        submission = _Submission(handle=None, record_fidelity=False)
+        submission = make_submission(record_fidelity=False)
         net = bare_network()
         net._match(submission, make_delivery(("p", 0)), is_head=True)
         net._match(submission, make_delivery(("p", 0)), is_head=False)
-        assert submission.matched == []
+        assert submission.handle.matched_pairs == []
 
     def test_oracle_accepts_and_rejects(self):
         from repro.quantum import bell_dm, create_pair, werner_dm
 
-        submission = _Submission(handle=None, record_fidelity=True,
-                                 oracle_min_fidelity=0.9)
+        submission = make_submission(record_fidelity=True,
+                                    oracle_min_fidelity=0.9)
         net = bare_network()
         good_a, good_b = create_pair(bell_dm(0))
         net._match(submission, make_delivery(("p", 0), qubit=good_a),
@@ -107,13 +119,13 @@ class TestSubmissionMatching:
                    is_head=True)
         net._match(submission, make_delivery(("p", 1), qubit=bad_b),
                    is_head=False)
-        accepted = [m.accepted for m in submission.matched]
+        accepted = [m.accepted for m in submission.handle.matched_pairs]
         assert accepted == [True, False]
         # Qubits were consumed after measurement to avoid state build-up.
         assert good_a.state is None and bad_b.state is None
 
     def test_pending_deliveries_not_matched(self):
-        submission = _Submission(handle=None, record_fidelity=True)
+        submission = make_submission(record_fidelity=True)
         net = bare_network()
         net._on_head_delivery(submission,
                               make_delivery(("p", 0),

@@ -4,7 +4,6 @@ import pytest
 
 from repro.netsim import (
     ClassicalChannel,
-    LossyChannel,
     MS,
     Simulator,
     fibre_delay,
@@ -14,17 +13,18 @@ from repro.netsim.ports import subscribe
 
 
 def make_channel(sim, **kwargs):
+    """A channel with an inbox and an injecting adapter on each side."""
     channel = ClassicalChannel(sim, **kwargs)
     inbox_a, inbox_b = [], []
-    subscribe(channel.port("a"), inbox_a.append)
-    subscribe(channel.port("b"), inbox_b.append)
-    return channel, inbox_a, inbox_b
+    end_a = subscribe(channel.port("a"), inbox_a.append)
+    end_b = subscribe(channel.port("b"), inbox_b.append)
+    return channel, (end_a, end_b), inbox_a, inbox_b
 
 
 def test_message_arrives_with_propagation_delay():
     sim = Simulator()
-    channel, _, inbox_b = make_channel(sim, length_km=2.0)
-    channel.ends[0].send("hello")
+    _, (end_a, _), _, inbox_b = make_channel(sim, length_km=2.0)
+    end_a.tx("hello")
     sim.run()
     assert inbox_b == ["hello"]
     assert sim.now == pytest.approx(fibre_delay(2.0))
@@ -32,9 +32,9 @@ def test_message_arrives_with_propagation_delay():
 
 def test_bidirectional_delivery():
     sim = Simulator()
-    channel, inbox_a, inbox_b = make_channel(sim, length_km=1.0)
-    channel.ends[0].send("to-b")
-    channel.ends[1].send("to-a")
+    _, (end_a, end_b), inbox_a, inbox_b = make_channel(sim, length_km=1.0)
+    end_a.tx("to-b")
+    end_b.tx("to-a")
     sim.run()
     assert inbox_a == ["to-a"]
     assert inbox_b == ["to-b"]
@@ -42,9 +42,9 @@ def test_bidirectional_delivery():
 
 def test_in_order_delivery():
     sim = Simulator()
-    channel, _, inbox_b = make_channel(sim, length_km=5.0)
+    _, (end_a, _), _, inbox_b = make_channel(sim, length_km=5.0)
     for i in range(20):
-        sim.schedule(i * 10.0, channel.ends[0].send, i)
+        sim.schedule(i * 10.0, end_a.tx, i)
     sim.run()
     assert inbox_b == list(range(20))
 
@@ -53,8 +53,9 @@ def test_processing_delay_added():
     sim = Simulator()
     channel = ClassicalChannel(sim, length_km=0.0, processing_delay=3 * MS)
     received_at = []
+    end_a = subscribe(channel.port("a"), lambda m: None)
     subscribe(channel.port("b"), lambda m: received_at.append(sim.now))
-    channel.ends[0].send("x")
+    end_a.tx("x")
     sim.run()
     assert received_at == [3 * MS]
 
@@ -63,12 +64,13 @@ def test_processing_delay_change_does_not_reorder():
     # If the delay shrinks mid-flight, later messages must not overtake
     # earlier ones (TCP stream semantics).
     sim = Simulator()
-    channel, _, inbox_b = make_channel(sim, length_km=0.0, processing_delay=10 * MS)
-    channel.ends[0].send("first")
+    channel, (end_a, _), _, inbox_b = make_channel(
+        sim, length_km=0.0, processing_delay=10 * MS)
+    end_a.tx("first")
 
     def shrink_and_send():
         channel.processing_delay = 0.0
-        channel.ends[0].send("second")
+        end_a.tx("second")
 
     sim.schedule(1 * MS, shrink_and_send)
     sim.run()
@@ -78,39 +80,18 @@ def test_processing_delay_change_does_not_reorder():
 def test_send_without_receiver_raises():
     sim = Simulator()
     channel = ClassicalChannel(sim)
-    channel.ends[0].send("x")
+    subscribe(channel.port("a"), lambda m: None).tx("x")
     with pytest.raises(RuntimeError):
         sim.run()
 
 
 def test_message_counter():
     sim = Simulator()
-    channel, _, _ = make_channel(sim)
-    channel.ends[0].send(1)
-    channel.ends[1].send(2)
+    channel, (end_a, end_b), _, _ = make_channel(sim)
+    end_a.tx(1)
+    end_b.tx(2)
     sim.run()
     assert channel.messages_sent == 2
-
-
-def test_lossy_channel_drops_messages():
-    sim = Simulator(seed=3)
-    channel = LossyChannel(sim, loss_probability=0.5)
-    inbox = []
-    subscribe(channel.port("b"), inbox.append)
-    subscribe(channel.port("a"), lambda m: None)
-    for i in range(200):
-        sim.schedule(float(i), channel.ends[0].send, i)
-    sim.run()
-    assert 0 < len(inbox) < 200
-    assert channel.messages_dropped == 200 - len(inbox)
-    # Delivered subsequence stays ordered.
-    assert inbox == sorted(inbox)
-
-
-def test_lossy_channel_validates_probability():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        LossyChannel(sim, loss_probability=1.5)
 
 
 def test_fibre_transmissivity_values():

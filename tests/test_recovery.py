@@ -6,7 +6,14 @@ from repro.control.routing import PATH_METRICS, RouteError
 from repro.core.requests import RequestStatus, UserRequest
 from repro.netsim.ports import subscribe
 from repro.network.builder import build_chain_network
-from repro.traffic import TrafficEngine, build_topology, fault_schedule
+from repro.traffic import (
+    DEFAULT_CLASSES,
+    SessionSpec,
+    TrafficEngine,
+    build_topology,
+    fault_schedule,
+)
+from repro.traffic.metrics import record_fidelities
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +276,20 @@ class TestEngineRecovery:
                 if record.outcome == "lost"]
         assert all(record.handle.status == RequestStatus.ABORTED
                    for record in lost)
+
+    def test_lost_arrival_handle_has_empty_delivery_lists(self):
+        """An arrival on a lost circuit never reaches ``Network.submit``,
+        yet its handle carries the same, empty, delivery lists."""
+        net = build_topology("ring", 5, seed=34, formalism="bell")
+        engine = TrafficEngine(net, circuits=1, seed=34)
+        engine.install()[0].lost = True
+        engine._submit(SessionSpec(circuit_index=0, arrival_ns=0.0,
+                                   priority=DEFAULT_CLASSES[0], num_pairs=2))
+        record = engine.records[-1]
+        assert record.decision == "lost"
+        assert record.handle.matched_pairs == []
+        assert record.handle.tail_deliveries == []
+        assert record_fidelities(record) == []
 
     def test_faulted_run_deterministic(self):
         _, first = _faulted_run(seed=33)
