@@ -1,6 +1,6 @@
-"""Experiment harness utilities: seed sweeps and text rendering.
+"""Experiment harness utilities: parallel maps and text rendering.
 
-The benchmarks print their figures as aligned text tables and series —
+The benchmarks print their figures as aligned text tables —
 the repository has no plotting dependency, and the point of the harness is
 the *numbers* (who wins, by what factor, where crossovers fall).
 """
@@ -8,17 +8,14 @@ the *numbers* (who wins, by what factor, where crossovers fall).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
-
-from .stats import mean, standard_error
+from typing import Optional, Sequence
 
 
 def map_parallel(fn, items: Sequence, workers: Optional[int] = None) -> list:
     """Order-preserving map, optionally sharded over a process pool.
 
-    The sharding core shared by :meth:`SeedSweep.run` and the campaign
-    runner (:func:`repro.campaign.run_campaign`): ``items`` are fanned out
+    The sharding core of seed sweeps and of the campaign runner
+    (:func:`repro.campaign.run_campaign`): ``items`` are fanned out
     across ``workers`` ``multiprocessing`` processes (default one per CPU,
     capped at the item count) and the results come back **in input
     order**, so a sharded map aggregates identically to the serial one
@@ -37,55 +34,6 @@ def map_parallel(fn, items: Sequence, workers: Optional[int] = None) -> list:
     return [fn(item) for item in items]
 
 
-@dataclass
-class SeedSweep:
-    """Run a scenario across seeds and aggregate per-seed scalars."""
-
-    scenario: Callable[[int], float]
-    seeds: Sequence[int]
-    samples: list[float] = field(default_factory=list)
-
-    def run(self, parallel: bool = False,
-            workers: Optional[int] = None) -> "SeedSweep":
-        """Evaluate the scenario on every seed.
-
-        ``parallel=True`` fans the seeds out over a ``multiprocessing`` pool
-        via :func:`map_parallel` (``workers`` processes, default one per
-        CPU up to the seed count).  Results are deterministic and identical
-        to the serial run: each scenario call is self-contained in its
-        seed, and ``samples`` keeps the seed order regardless of completion
-        order.  ``workers=1`` (or a single seed) falls back to the serial
-        path — no pool, no pickling requirements on ``scenario``.
-        """
-        if parallel:
-            self.samples = [float(sample) for sample
-                            in map_parallel(self.scenario, self.seeds,
-                                            workers=workers)]
-            return self
-        self.samples = [float(self.scenario(seed)) for seed in self.seeds]
-        return self
-
-    @property
-    def mean(self) -> float:
-        return mean(self.samples)
-
-    @property
-    def sem(self) -> float:
-        return standard_error(self.samples)
-
-
-def run_seeds(scenario: Callable[[int], float], seeds: Iterable[int],
-              parallel: bool = False,
-              workers: Optional[int] = None) -> SeedSweep:
-    """Convenience wrapper: ``run_seeds(fn, range(5)).mean``.
-
-    Pass ``parallel=True`` for a multiprocessing sweep (``scenario`` must
-    then be picklable, i.e. a module-level function).
-    """
-    return SeedSweep(scenario=scenario, seeds=list(seeds)).run(
-        parallel=parallel, workers=workers)
-
-
 def render_table(headers: Sequence[str], rows: Sequence[Sequence],
                  title: str = "") -> str:
     """Render an aligned text table (benchmark output format)."""
@@ -101,12 +49,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence],
     for row in cells[1:]:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(name: str, xs: Sequence, ys: Sequence,
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """Render an (x, y) series as a two-column table."""
-    return render_table([x_label, y_label], list(zip(xs, ys)), title=name)
 
 
 def _fmt(value) -> str:

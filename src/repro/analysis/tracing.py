@@ -1,18 +1,15 @@
-"""Protocol event tracing: flat event logs and causal span trees.
+"""Protocol event tracing: one causal span tree per network.
 
-A lightweight event log that the QNP engines and link-layer EGPs append
-to when attached.  Used for debugging, for the tests that assert
-protocol-level orderings, and by ``examples/sequence_trace.py`` to render
-the paper's Fig 6 message sequence from a live run.
-
-:class:`SpanTracer` extends the flat log with *causal spans*: every
+The QNP engines and link-layer EGPs :meth:`~SpanTracer.record` their
+protocol events into a :class:`SpanTracer` when one is attached.  Every
 recorded event becomes a point span with an ID and a parent link, and
 long-lived activities (a circuit's lifetime, a session from submit to
 completion) become interval spans, so one session's lifecycle is a
 walkable tree (submit → route → install → generate → swap → deliver →
-app consume).  The flat :class:`EventLog` API — ``of_kind``,
-``render_sequence`` and friends — keeps working on a tracer unchanged:
-it is simply a view over the point spans.
+app consume).  The flat views — :meth:`~SpanTracer.of_kind`,
+:meth:`~SpanTracer.first` and the Fig 6 :meth:`~SpanTracer.render_sequence`
+used by the debugging tests and ``examples/sequence_trace.py`` — read the
+recorded events back out of the same span list.
 """
 
 from __future__ import annotations
@@ -20,71 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One protocol-level event at one node."""
-
-    time: float
-    node: str
-    kind: str
-    detail: dict
-
-    def __str__(self) -> str:
-        pieces = " ".join(f"{key}={value}" for key, value in self.detail.items())
-        return f"[{self.time / 1e6:10.3f} ms] {self.node:<8} {self.kind:<14} {pieces}"
-
-
-class EventLog:
-    """Append-only trace shared by all nodes of a network."""
-
-    def __init__(self):
-        self.events: list[TraceEvent] = []
-
-    def record(self, time: float, node: str, kind: str, **detail) -> None:
-        self.events.append(TraceEvent(time=time, node=node, kind=kind,
-                                      detail=detail))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def of_kind(self, *kinds: str) -> list[TraceEvent]:
-        wanted = set(kinds)
-        return [event for event in self.events if event.kind in wanted]
-
-    def at_node(self, node: str) -> list[TraceEvent]:
-        return [event for event in self.events if event.node == node]
-
-    def first(self, kind: str) -> Optional[TraceEvent]:
-        for event in self.events:
-            if event.kind == kind:
-                return event
-        return None
-
-    def render_sequence(self, nodes: Iterable[str],
-                        max_events: int = 200) -> str:
-        """Render a Fig 6-style sequence diagram: one column per node,
-        events in time order."""
-        nodes = list(nodes)
-        width = 16
-        header = f"{'time (ms)':>12}  " + "".join(f"{n:<{width}}" for n in nodes)
-        rule = "-" * len(header)
-        lines = [header, rule]
-        for event in self.events[:max_events]:
-            if event.node not in nodes:
-                continue
-            column = nodes.index(event.node)
-            label = event.kind
-            if "to" in event.detail:
-                label = f"{event.kind}->{event.detail['to']}"
-            cells = [" " * width] * len(nodes)
-            cells[column] = f"{label:<{width}}"[:width]
-            lines.append(f"{event.time / 1e6:>12.3f}  " + "".join(cells))
-        return "\n".join(lines)
 
 
 @dataclass
@@ -120,6 +52,14 @@ class Span:
                 "attrs": self.attrs}
 
 
+class EventSpan(Span):
+    """A point span filed by :meth:`SpanTracer.record`: one protocol event.
+
+    The flat views (the Fig 6 render, :meth:`SpanTracer.of_kind`) read only
+    these, not the interval spans or the network's ROUTE/INSTALL marks.
+    """
+
+
 #: Detail keys that resolve a recorded event's parent span, tried in
 #: order: a ``request=`` detail parents under that session's span, a
 #: ``purpose=`` detail under the circuit owning that link label (the
@@ -129,32 +69,31 @@ _PARENT_KEYS = (("request", "session"), ("purpose", "purpose"),
                 ("circuit", "circuit"))
 
 
-class SpanTracer(EventLog):
-    """An :class:`EventLog` whose events form a causal span tree.
+class SpanTracer:
+    """A network's protocol events, stored as a causal span tree.
 
-    Producers keep calling the flat :meth:`record` API; the tracer turns
-    each event into a point span and infers its parent from the event's
-    detail (``request=`` → session span, ``circuit=``/``purpose=`` →
-    circuit span).  Interval spans are opened with :meth:`begin` under a
-    lookup *key* — e.g. ``("circuit", circuit_id)`` or ``("session",
-    request_id)`` — and closed with :meth:`end`.  Keys stay resolvable
-    after a span closes, so late events (an EXPIRE racing a completed
-    request) still land in the right subtree.
+    Producers call :meth:`record`; the tracer files each event as a point
+    span and infers its parent from the event's detail (``request=`` →
+    session span, ``circuit=``/``purpose=`` → circuit span).  Interval
+    spans are opened with :meth:`begin` under a lookup *key* — e.g.
+    ``("circuit", circuit_id)`` or ``("session", request_id)`` — and
+    closed with :meth:`end`.  Keys stay resolvable after a span closes,
+    so late events (an EXPIRE racing a completed request) still land in
+    the right subtree.
     """
 
     def __init__(self):
-        super().__init__()
         self.spans: list[Span] = []
         self._index: dict[tuple, Span] = {}
         self._next_id = 1
 
     def _new_span(self, name: str, node: str, t_start: float,
                   t_end: Optional[float], parent: Optional[Span],
-                  attrs: dict) -> Span:
-        span = Span(span_id=self._next_id,
-                    parent_id=None if parent is None else parent.span_id,
-                    name=name, node=node, t_start=t_start, t_end=t_end,
-                    attrs=attrs)
+                  attrs: dict, cls: type = Span) -> Span:
+        span = cls(span_id=self._next_id,
+                   parent_id=None if parent is None else parent.span_id,
+                   name=name, node=node, t_start=t_start, t_end=t_end,
+                   attrs=attrs)
         self._next_id += 1
         self.spans.append(span)
         return span
@@ -189,17 +128,52 @@ class SpanTracer(EventLog):
         return self._new_span(name, node, time, time, parent, attrs)
 
     def record(self, time: float, node: str, kind: str, **detail) -> None:
-        """Flat-log API: also files the event as a point span."""
-        super().record(time, node, kind, **detail)
+        """File one protocol event as a point span under its inferred
+        parent; a ``REQUEST_DONE`` also closes the request's session span."""
         parent = None
         for detail_key, prefix in _PARENT_KEYS:
             if detail_key in detail:
                 parent = self._index.get((prefix, detail[detail_key]))
                 if parent is not None:
                     break
-        self.point(kind, node, time, parent=parent, **detail)
+        self._new_span(kind, node, time, time, parent, detail, EventSpan)
         if kind == "REQUEST_DONE" and "request" in detail:
             self.end(("session", detail["request"]), time)
+
+    def events(self) -> list[EventSpan]:
+        """The recorded protocol events, in record order."""
+        return [s for s in self.spans if isinstance(s, EventSpan)]
+
+    def of_kind(self, *kinds: str) -> list[EventSpan]:
+        """Recorded events whose name is one of ``kinds``."""
+        wanted = set(kinds)
+        return [s for s in self.events() if s.name in wanted]
+
+    def first(self, kind: str) -> Optional[EventSpan]:
+        """The earliest-recorded event named ``kind``, or None."""
+        return next((s for s in self.events() if s.name == kind), None)
+
+    def render_sequence(self, nodes: Iterable[str],
+                        max_events: int = 200) -> str:
+        """Render a Fig 6-style sequence diagram of the first
+        ``max_events`` recorded events: one column per node, events in
+        record order."""
+        nodes = list(nodes)
+        width = 16
+        header = f"{'time (ms)':>12}  " + "".join(f"{n:<{width}}" for n in nodes)
+        rule = "-" * len(header)
+        lines = [header, rule]
+        for event in self.events()[:max_events]:
+            if event.node not in nodes:
+                continue
+            column = nodes.index(event.node)
+            label = event.name
+            if "to" in event.attrs:
+                label = f"{event.name}->{event.attrs['to']}"
+            cells = [" " * width] * len(nodes)
+            cells[column] = f"{label:<{width}}"[:width]
+            lines.append(f"{event.t_start / 1e6:>12.3f}  " + "".join(cells))
+        return "\n".join(lines)
 
     def children(self, span: Span) -> list[Span]:
         """Direct children of ``span``, in creation order."""
@@ -243,30 +217,17 @@ class SpanTracer(EventLog):
         return len(self.spans)
 
 
-def attach_trace(net, log: Optional[EventLog] = None) -> EventLog:
-    """Attach a shared event log to every QNP engine and link-layer EGP.
-
-    Pass an existing log (e.g. a :class:`SpanTracer`) to share it;
-    span tracers are additionally registered on the network so it can
-    open circuit/session interval spans (see :func:`attach_tracer`).
-    """
-    log = EventLog() if log is None else log
-    for qnp in net.qnps.values():
-        qnp.trace = log
-    for link in net.links.values():
-        link.trace = log
-    if isinstance(log, SpanTracer):
-        net.tracer = log
-    return log
-
-
 def attach_tracer(net) -> SpanTracer:
-    """Attach a causal :class:`SpanTracer` to a network.
+    """Attach a new :class:`SpanTracer` to a network and return it.
 
-    Equivalent to ``attach_trace(net, SpanTracer())``: the tracer
-    receives every QNP and EGP event as a point span and the network
-    opens circuit/session interval spans around them.
+    Every QNP engine and link-layer EGP records its protocol events into
+    the tracer, and the network opens circuit/session interval spans
+    around them.
     """
     tracer = SpanTracer()
-    attach_trace(net, tracer)
+    for qnp in net.qnps.values():
+        qnp.trace = tracer
+    for link in net.links.values():
+        link.trace = tracer
+    net.tracer = tracer
     return tracer

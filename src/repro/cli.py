@@ -332,16 +332,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .analysis import attach_trace
+    from .analysis import attach_tracer
 
     net = build_chain_network(num_nodes=4, seed=args.seed,
                               formalism=args.formalism)
     circuit_id = net.establish_circuit("node0", "node3", 0.75)
-    log = attach_trace(net)
+    tracer = attach_tracer(net)
     handle = net.submit(circuit_id, UserRequest(num_pairs=args.pairs))
     net.run_until_complete([handle], timeout_s=args.timeout)
-    print(log.render_sequence(["node0", "node1", "node2", "node3"],
-                              max_events=80))
+    print(tracer.render_sequence(["node0", "node1", "node2", "node3"],
+                                 max_events=80))
     return 0
 
 

@@ -103,7 +103,8 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         self._labels: dict[tuple, str] = {}
         self._registered_links: set[str] = set()
         self._apps: dict[int, Callable[[PairDelivery], None]] = {}
-        #: Optional shared event log (see :mod:`repro.analysis.tracing`).
+        #: Optional span tracer (see :mod:`repro.analysis.tracing`);
+        #: attached by ``attach_tracer``.
         self.trace = None
         #: Name of the quantum-state formalism this node's pairs live in
         #: (``"dm"`` or ``"bell"`` — threaded from the topology builder;

@@ -126,8 +126,8 @@ class Link(Entity, Component):
         self.pairs_generated = 0
         self.attempts_made = 0
         self.busy_time = 0.0
-        #: Optional shared event log (see :mod:`repro.analysis.tracing`);
-        #: attached by ``attach_trace`` alongside the QNP engines.
+        #: Optional span tracer (see :mod:`repro.analysis.tracing`);
+        #: attached by ``attach_tracer`` alongside the QNP engines.
         self.trace = None
         for node in (node_a, node_b):
             node.qmm.on_slot_freed(self._on_slot_freed)
@@ -269,11 +269,6 @@ class Link(Entity, Component):
         """Achievable pairs/s at a given fidelity with the whole link."""
         alpha = self.model.alpha_for_fidelity(min_fidelity)
         return 1e9 / self.model.expected_pair_time(alpha)
-
-    def generation_quantile(self, min_fidelity: float, quantile: float) -> float:
-        """Time (ns) by which a pair exists with the given probability."""
-        alpha = self.model.alpha_for_fidelity(min_fidelity)
-        return self.model.time_quantile(alpha, quantile)
 
     # ------------------------------------------------------------------
     # Generation loop

@@ -278,10 +278,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_until_idle(self) -> None:
-        """Run until no events remain."""
-        self.run(until=None)
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when none is queued.
 

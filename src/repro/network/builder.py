@@ -113,10 +113,9 @@ class Network:
         self._graph = nx.Graph()
         self._circuit_meta: dict[str, dict] = {}
         self._identifier_counter = 0
-        #: Optional causal span tracer (set by ``attach_trace``/
-        #: ``attach_tracer`` — see :mod:`repro.analysis.tracing`).  When
-        #: present the façade opens circuit/session interval spans around
-        #: the flat protocol events.
+        #: Optional causal span tracer (set by ``attach_tracer`` — see
+        #: :mod:`repro.analysis.tracing`).  When present the façade opens
+        #: circuit/session interval spans around the protocol events.
         self.tracer = None
         #: The network's metrics registry (:mod:`repro.obs`).  Scheduler,
         #: link-layer, QNP and arbiter instruments are pull-based — they

@@ -52,9 +52,6 @@ def expected_xor(bell_state: int, basis: str) -> int:
     return bell_state & 1 if basis == "Z" else (bell_state >> 1) & 1
 
 
-_expected_xor = expected_xor
-
-
 def run_test_rounds(net, circuit_id: str, rounds_per_basis: int,
                     timeout_s: float = 600.0) -> FidelityEstimate:
     """Consume ``2 × rounds_per_basis`` pairs as fidelity test rounds."""
@@ -76,7 +73,7 @@ def run_test_rounds(net, circuit_id: str, rounds_per_basis: int,
             tail_delivery = tail_by_pair.get(head_delivery.pair_id)
             if tail_delivery is None or tail_delivery.measurement is None:
                 continue
-            expected = _expected_xor(int(head_delivery.bell_state), basis)
+            expected = expected_xor(int(head_delivery.bell_state), basis)
             observed = head_delivery.measurement ^ tail_delivery.measurement
             results[basis][1] += 1
             if observed != expected:

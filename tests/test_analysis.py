@@ -2,17 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    Cdf,
-    LatencySummary,
-    mean,
-    percentile,
-    render_series,
-    render_table,
-    run_seeds,
-    standard_error,
-    throughput,
-)
+from repro.analysis import Cdf, map_parallel, mean, render_table
 
 
 class TestBasicStats:
@@ -22,23 +12,6 @@ class TestBasicStats:
     def test_mean_empty_rejected(self):
         with pytest.raises(ValueError):
             mean([])
-
-    def test_standard_error(self):
-        assert standard_error([5.0]) == 0.0
-        assert standard_error([1.0, 1.0, 1.0]) == 0.0
-        assert standard_error([0.0, 2.0]) > 0.0
-
-    def test_percentile_interpolates(self):
-        values = [0.0, 10.0]
-        assert percentile(values, 0) == 0.0
-        assert percentile(values, 100) == 10.0
-        assert percentile(values, 50) == 5.0
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 150)
-        with pytest.raises(ValueError):
-            percentile([], 50)
 
 
 class TestCdf:
@@ -59,67 +32,32 @@ class TestCdf:
         assert cdf.at(0.0) == 0.0
         assert cdf.at(10.0) == 1.0
 
-    def test_resample(self):
-        cdf = Cdf.from_samples([0.0, 1.0, 2.0, 3.0, 4.0])
-        points = cdf.resample(5)
-        assert points[0] == (0.0, pytest.approx(0.2))
-        assert points[-1] == (4.0, pytest.approx(1.0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Cdf.from_samples([])
         cdf = Cdf.from_samples([1.0])
         with pytest.raises(ValueError):
             cdf.quantile(0.0)
-        with pytest.raises(ValueError):
-            cdf.resample(1)
-
-
-class TestThroughput:
-    def test_counts_in_window(self):
-        times = [0.5e9, 1.5e9, 2.5e9, 3.5e9]
-        assert throughput(times, (0.0, 4e9)) == pytest.approx(1.0)
-        assert throughput(times, (0.0, 2e9)) == pytest.approx(1.0)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            throughput([], (5.0, 5.0))
-
-
-class TestLatencySummary:
-    def test_summary(self):
-        summary = LatencySummary.from_samples([float(i) for i in range(1, 101)])
-        assert summary.count == 100
-        assert summary.mean == pytest.approx(50.5)
-        assert summary.p50 == pytest.approx(50.5)
-        assert summary.p95 == pytest.approx(95.05)
 
 
 def _seed_scenario(seed: int) -> float:
-    """Module-level scenario so the parallel sweep can pickle it."""
+    """Module-level scenario so the process pool can pickle it."""
     rng_state = (seed * 2654435761) % 97
     return float(seed * 2 + rng_state * 0)
 
 
 class TestHarness:
-    def test_run_seeds(self):
-        sweep = run_seeds(lambda seed: float(seed * 2), range(5))
-        assert sweep.samples == [0.0, 2.0, 4.0, 6.0, 8.0]
-        assert sweep.mean == 4.0
-        assert sweep.sem > 0
-
     def test_parallel_sweep_matches_serial(self):
-        serial = run_seeds(_seed_scenario, range(8))
-        parallel = run_seeds(_seed_scenario, range(8), parallel=True,
-                             workers=4)
-        assert parallel.samples == serial.samples
-        assert parallel.mean == serial.mean
+        serial = map_parallel(_seed_scenario, range(8), workers=1)
+        parallel = map_parallel(_seed_scenario, range(8), workers=4)
+        assert serial == [float(seed * 2) for seed in range(8)]
+        assert parallel == serial
 
     def test_parallel_single_worker_falls_back_to_serial(self):
         # workers=1 must not require a picklable scenario (no pool spawned).
-        sweep = run_seeds(lambda seed: float(seed + 1), range(4),
-                          parallel=True, workers=1)
-        assert sweep.samples == [1.0, 2.0, 3.0, 4.0]
+        samples = map_parallel(lambda seed: float(seed + 1), range(4),
+                               workers=1)
+        assert samples == [1.0, 2.0, 3.0, 4.0]
 
     def test_render_table_alignment(self):
         table = render_table(["name", "value"],
@@ -128,9 +66,3 @@ class TestHarness:
         assert lines[0] == "T"
         assert "name" in lines[1] and "value" in lines[1]
         assert len(lines) == 5
-
-    def test_render_series(self):
-        out = render_series("series", [1, 2], [0.5, 0.25],
-                            x_label="n", y_label="p")
-        assert "series" in out
-        assert "0.5" in out and "0.25" in out

@@ -307,15 +307,16 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_version_envelope_rejected(self, tmp_path, version):
         # Older layouts: versions 1-3 carried the process-global ID
         # counters in the envelope (1 also the Bell weight store's peak
         # occupancy), 2 pickled P² quantile estimators, 4 pickled the
-        # session-retirement state, and 5 pickled midpoint stations and
-        # per-submission delivery lists.  The engine blob is not a pickle, so
-        # deserialising it would fail with "corrupt engine state": the
-        # version check must come first.
+        # session-retirement state, 5 pickled midpoint stations and
+        # per-submission delivery lists, and 6 pickled a traced network's
+        # flat event log beside its spans.  The engine blob is not a
+        # pickle, so deserialising it would fail with "corrupt engine
+        # state": the version check must come first.
         envelope = {"magic": "repro-checkpoint", "version": version,
                     "engine_blob": f"version-{version} engine".encode()}
         if version < 4:

@@ -1,10 +1,17 @@
 """Tests for circuit liveness monitoring, failure injection and tracing."""
 
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.analysis import EventLog, attach_trace
+from repro.analysis import attach_tracer
+from repro.cli import main
 from repro.core import RequestStatus, UserRequest
 from repro.network.builder import build_chain_network
+from repro.traffic import TrafficEngine, build_topology
 
 
 class TestChannelCut:
@@ -79,14 +86,14 @@ class TestTracing:
     def run_traced(self, num_pairs=2, seed=36):
         net = build_chain_network(3, seed=seed)
         circuit_id = net.establish_circuit("node0", "node2", 0.8)
-        log = attach_trace(net)
+        tracer = attach_tracer(net)
         handle = net.submit(circuit_id, UserRequest(num_pairs=num_pairs))
         net.run_until_complete([handle], timeout_s=120)
-        return net, log, handle
+        return net, tracer, handle
 
     def test_sequence_of_kinds(self):
         net, log, handle = self.run_traced()
-        kinds = [event.kind for event in log]
+        kinds = [event.name for event in log.events()]
         assert kinds[0] == "REQUEST"
         for expected in ("FORWARD", "LINK_PAIR", "SWAP", "TRACK", "PAIR",
                          "COMPLETE"):
@@ -96,7 +103,7 @@ class TestTracing:
         net, log, handle = self.run_traced()
         first_forward = log.first("FORWARD")
         first_swap = log.first("SWAP")
-        assert first_forward.time <= first_swap.time
+        assert first_forward.t_start <= first_swap.t_start
 
     def test_swaps_only_at_intermediate(self):
         net, log, handle = self.run_traced()
@@ -109,7 +116,7 @@ class TestTracing:
 
     def test_filters(self):
         net, log, handle = self.run_traced()
-        assert len(log.at_node("node1")) > 0
+        assert any(event.node == "node1" for event in log.events())
         assert log.first("NOPE") is None
         assert len(log.of_kind("SWAP", "PAIR")) == \
             len(log.of_kind("SWAP")) + len(log.of_kind("PAIR"))
@@ -121,8 +128,56 @@ class TestTracing:
         assert "node0" in lines[0] and "node2" in lines[0]
         assert any("SWAP" in line for line in lines)
 
-    def test_event_str(self):
-        log = EventLog()
-        log.record(1.5e6, "n", "KIND", foo=1)
-        assert "KIND" in str(log.events[0])
-        assert "foo=1" in str(log.events[0])
+    def test_flat_views_skip_interval_and_network_marks(self):
+        net, log, handle = self.run_traced()
+        names = {event.name for event in log.events()}
+        assert {"session", "circuit", "ROUTE", "INSTALL"}.isdisjoint(names)
+        assert any(span.name == "session" for span in log.spans)
+        assert log.first("PAIR").attrs["request"] == handle.request.request_id
+        text = log.render_sequence(["node0", "node1", "node2"])
+        assert "session" not in text
+
+
+class TestPinnedTraceOutputs:
+    """Byte-for-byte pins of the trace surfaces: the Fig 6 render of the
+    ``trace`` subcommand and of ``examples/sequence_trace.py``, and the
+    span JSONL that ``traffic --trace-out`` writes.  A refactor of the
+    tracer must leave all three unchanged."""
+
+    TRACE_SHA = ("6d2b09b1766faff1d8f5a54d16b5cbf1"
+                 "7ca85e20c74378649b67bfa2352f0180")
+    EXAMPLE_SHA = ("8f1347d3e503df9ddd5010cd5cd5b7ee"
+                   "7d497e9220abd1f95738239679d7cf44")
+    JSONL_SHA = ("12dc26c9706a091378cca5694cd6d48a"
+                 "b8da150436b74dfd1c204e7fe1b37230")
+
+    @staticmethod
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("formalism", ["dm", "bell"])
+    def test_trace_subcommand_render(self, capsys, formalism):
+        assert main(["--seed", "7", "--formalism", formalism, "trace"]) == 0
+        assert self.sha(capsys.readouterr().out.encode()) == self.TRACE_SHA
+
+    def test_sequence_trace_example(self):
+        script = Path(__file__).parent.parent / "examples" / "sequence_trace.py"
+        result = subprocess.run([sys.executable, str(script)],
+                                capture_output=True, timeout=240, check=True)
+        assert self.sha(result.stdout) == self.EXAMPLE_SHA
+
+    def test_traffic_trace_out_jsonl(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        assert main(["--seed", "7", "--formalism", "bell", "traffic",
+                     "--size", "3", "--circuits", "4", "--horizon", "1.0",
+                     "--trace-out", str(path)]) == 0
+        data = path.read_bytes()
+        assert data.count(b"\n") == 15852
+        assert self.sha(data) == self.JSONL_SHA
+
+    def test_library_run_files_one_span_per_event(self):
+        net = build_topology("grid", 3, seed=7, formalism="bell")
+        tracer = attach_tracer(net)
+        TrafficEngine(net, circuits=4, seed=7).run(horizon_s=1.0)
+        assert len(tracer.spans) == 15864
+        assert len(tracer.events()) == 15672
