@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from repro.hardware import HeraldedConnection, SIMULATION, SingleClickModel
 from repro.netsim import Simulator
 from repro.quantum import (
     NoisyOpParams,
@@ -66,17 +65,6 @@ def test_micro_decoherence_channel(benchmark):
 
     ops = benchmark(build_channel)
     assert len(ops) >= 1
-
-
-def test_micro_heralded_state(benchmark):
-    model = SingleClickModel(SIMULATION, HeraldedConnection.lab(0.002))
-    rng = random.Random(2)
-
-    def one_sample():
-        return model.sample(0.05, rng)
-
-    sample = benchmark(one_sample)
-    assert sample.attempts >= 1
 
 
 @pytest.mark.parametrize("formalism", ["dm", "bell"])

@@ -52,14 +52,6 @@ def bench_decoherence_channel():
     return lambda: decoherence_kraus(5e6, 3.6e12, 6e10)
 
 
-def bench_heralded_sample():
-    from repro.hardware import HeraldedConnection, SIMULATION, SingleClickModel
-
-    model = SingleClickModel(SIMULATION, HeraldedConnection.lab(0.002))
-    rng = random.Random(2)
-    return lambda: model.sample(0.05, rng)
-
-
 def bench_alpha_for_fidelity():
     from repro.hardware import HeraldedConnection, SIMULATION, SingleClickModel
 
@@ -332,7 +324,6 @@ def bench_link_delivery_round(formalism: str):
 #: name → (factory, iterations per round)
 BENCHMARKS = {
     "decoherence_channel": (bench_decoherence_channel, 2000),
-    "heralded_sample": (bench_heralded_sample, 2000),
     "alpha_for_fidelity": (bench_alpha_for_fidelity, 20),
     "bsm_dm": (lambda: bench_bsm("dm"), 50),
     "bsm_bell": (lambda: bench_bsm("bell"), 500),

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from ..netsim.entity import Entity
 from ..netsim.ports import Component, connect
-from ..netsim.timers import PeriodicTimer
+from ..netsim.scheduler import EventHandle
 from ..netsim.units import MS
 from ..network.node import QuantumNode, service_protocol
 
@@ -70,6 +70,8 @@ class LivenessAgent(Entity, Component):
             raise ValueError("watch() must run at the circuit's head-end")
         if circuit_id in self._monitors:
             raise ValueError(f"already watching {circuit_id}")
+        if interval <= 0:
+            raise ValueError("interval must be positive")
         monitor = _CircuitMonitor(self, circuit_id, tuple(path), interval,
                                   miss_limit, on_failure)
         self._monitors[circuit_id] = monitor
@@ -119,19 +121,24 @@ class _CircuitMonitor:
         self.agent = agent
         self.circuit_id = circuit_id
         self.path = path
+        self.interval = interval
         self.miss_limit = miss_limit
         self.on_failure = on_failure
         self._sequence = 0
         self._last_acked = -1
         self._misses = 0
-        self._timer = PeriodicTimer(agent.sim, interval, self._tick)
+        #: The next keepalive tick; ``None`` once stopped.
+        self._handle: Optional[EventHandle] = None
         self.failed = False
 
     def start(self) -> None:
-        self._timer.start()
+        """Arm the first tick, one interval from now."""
+        self._handle = self.agent.sim.schedule(self.interval, self._tick)
 
     def stop(self) -> None:
-        self._timer.stop()
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
 
     def on_pong(self, sequence: int) -> None:
         if sequence > self._last_acked:
@@ -139,6 +146,9 @@ class _CircuitMonitor:
             self._misses = 0
 
     def _tick(self) -> None:
+        # Re-arm before the body: the body's Ping takes the next event
+        # sequence number, and a failure declared below cancels this tick.
+        self._handle = self.agent.sim.schedule(self.interval, self._tick)
         if self._sequence > self._last_acked:
             self._misses += 1
             if self._misses >= self.miss_limit:

@@ -106,11 +106,6 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         #: Optional span tracer (see :mod:`repro.analysis.tracing`);
         #: attached by ``attach_tracer``.
         self.trace = None
-        #: Name of the quantum-state formalism this node's pairs live in
-        #: (``"dm"`` or ``"bell"`` — threaded from the topology builder;
-        #: evaluation scripts and benchmarks read it to label results).
-        backend = getattr(node, "backend", None)
-        self.formalism = backend.name if backend is not None else "dm"
         # Statistics.
         self.swaps_performed = 0
         self.pairs_delivered = 0

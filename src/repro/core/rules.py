@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import partial
 
 from ..linklayer.service import LinkPairDelivery
-from ..netsim.timers import Timer
 from ..quantum.bell import BellIndex, combine
 from .circuit import CircuitRole
 from .messages import Direction, Expire, Track
@@ -248,9 +247,9 @@ class IntermediateRules:
             t_create=delivery.t_create,
         )
         if runtime.entry.cutoff is not None:
-            pair.timer = Timer(self.sim, self._cutoff_rule, runtime,
-                               direction_state, pair)
-            pair.timer.start(runtime.entry.cutoff)
+            pair.timer = self.sim.schedule(runtime.entry.cutoff,
+                                           self._cutoff_rule, runtime,
+                                           direction_state, pair)
         direction_state.available.append(pair)
         if not self.node.params.parallel_links:
             other = runtime.downstream if from_upstream else runtime.upstream
@@ -284,7 +283,8 @@ class IntermediateRules:
         self.swaps_performed += 1
         self._emit("SWAP", up=up.correlator, down=down.correlator,
                    outcome=outcome, circuit=runtime.entry.circuit_id)
-        self.call_in(duration, self._complete_swap, runtime, up, down, outcome)
+        self.sim.schedule(duration, self._complete_swap, runtime, up, down,
+                          outcome)
 
     def _complete_swap(self, runtime, up: PairInfo, down: PairInfo,
                        outcome: int) -> None:
@@ -411,4 +411,4 @@ class IntermediateRules:
 
     def _hold_device(self, duration: float) -> None:
         """Occupy the arbitrated device for ``duration`` ns, then release."""
-        self.call_in(duration, self.node.arbiter.release)
+        self.sim.schedule(duration, self.node.arbiter.release)

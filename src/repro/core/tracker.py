@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..netsim.timers import Timer
+from ..netsim.scheduler import EventHandle
 from ..quantum.bell import BellIndex
 from ..quantum.qubit import Qubit
 from .messages import Track
@@ -38,7 +38,8 @@ class PairInfo:
     bell_index: BellIndex
     goodness: float
     t_create: float
-    timer: Optional[Timer] = None
+    #: The pending cutoff event (Alg 9), cancelled when the pair is used.
+    timer: Optional[EventHandle] = None
 
     def cancel_timer(self) -> None:
         if self.timer is not None:

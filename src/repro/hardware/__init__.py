@@ -4,7 +4,6 @@ from .fibre import FibreSegment, HeraldedConnection
 from .heralded import (
     MAX_ALPHA,
     MIN_ALPHA,
-    LinkSample,
     MidpointHeraldModel,
     SingleClickModel,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "HeraldedConnection",
     "SingleClickModel",
     "MidpointHeraldModel",
-    "LinkSample",
     "MIN_ALPHA",
     "MAX_ALPHA",
     "NVDevice",

@@ -23,7 +23,6 @@ the key scaling trick documented in DESIGN.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -43,16 +42,6 @@ MAX_ALPHA = 0.5
 #: log-spaced over the legal range, built once per process.
 _ALPHA_GRID = np.geomspace(MIN_ALPHA, MAX_ALPHA, 400)
 _ALPHA_GRID.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class LinkSample:
-    """Outcome of one heralded generation round (post fast-forward)."""
-
-    attempts: int
-    duration: float
-    dm: np.ndarray
-    bell_index: BellIndex
 
 
 class SingleClickModel:
@@ -320,17 +309,6 @@ class SingleClickModel:
         weights.setflags(write=False)
         self._weights_cache[key] = weights
         return weights
-
-    def sample(self, alpha: float, rng) -> LinkSample:
-        """Fast-forward one generation round: attempts, duration and state."""
-        attempts = self.sample_attempts(alpha, rng)
-        index = BellIndex.PSI_PLUS if rng.random() < 0.5 else BellIndex.PSI_MINUS
-        return LinkSample(
-            attempts=attempts,
-            duration=attempts * self.cycle_time,
-            dm=self.produced_dm(alpha, index),
-            bell_index=index,
-        )
 
     # ------------------------------------------------------------------
 

@@ -6,7 +6,6 @@ Public API:
 * :class:`Entity` — base class for protocol machines and hardware models,
 * :class:`Component` / :class:`Port` / :func:`connect` — the typed port
   graph every wired entity exchanges messages over,
-* :class:`Timer` / :class:`PeriodicTimer` — cancellable timers,
 * :class:`ClassicalChannel` — reliable, in-order classical links (inject
   messages through the adapter :func:`subscribe` returns),
 * time constants (``NS``, ``US``, ``MS``, ``S``) and fibre helpers.
@@ -26,7 +25,6 @@ from .ports import (
     subscribe,
 )
 from .scheduler import EventHandle, Simulator
-from .timers import PeriodicTimer, Timer
 from .units import (
     FIBRE_DELAY_NS_PER_KM,
     LAB_WAVELENGTH_ATTENUATION_DB_PER_KM,
@@ -54,8 +52,6 @@ __all__ = [
     "ProtocolMismatchError",
     "PortAlreadyConnectedError",
     "PortNotConnectedError",
-    "Timer",
-    "PeriodicTimer",
     "ClassicalChannel",
     "CLASSICAL",
     "NS",

@@ -2,14 +2,12 @@
 
 An entity is any protocol machine or hardware model that lives inside the
 simulation: it holds a reference to the :class:`~repro.netsim.scheduler.Simulator`
-and gets convenience helpers for scheduling and randomness.
+and schedules through it (``self.sim.schedule``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
-from .scheduler import EventHandle, Simulator
+from .scheduler import Simulator
 
 
 class Entity:
@@ -23,14 +21,6 @@ class Entity:
     def now(self) -> float:
         """Current simulated time (ns)."""
         return self.sim.now
-
-    def call_in(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` ns from now."""
-        return self.sim.schedule(delay, callback, *args)
-
-    def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``callback`` at an absolute simulated time."""
-        return self.sim.schedule_at(time, callback, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.__class__.__name__} {self.name!r}>"

@@ -8,20 +8,28 @@ a small, deterministic replacement for the NetSquid kernel the paper used:
   the same instant fire in the order they were scheduled (FIFO tie-break),
 * events can be cancelled through the handle returned by ``schedule``.
 
-Two hot-path refinements keep the kernel out of the profile at scale:
+The :class:`EventHandle` that :meth:`Simulator.schedule` returns is the one
+timer object of the code base: arming a timeout is ``handle =
+sim.schedule(delay, callback, *args)``, disarming it is
+``handle.cancel()``, and a periodic tick re-arms itself from its own
+callback.  Nothing outside this module touches the heap.
+
+The heap holds ``(time, seq, handle)`` tuples.  ``seq`` comes from one
+counter and is unique, so tuples compare in C on their first two fields
+and a handle is never compared.  Three refinements keep the kernel out
+of the profile at scale:
 
 * **O(1) pending count** — the simulator tracks a live cancelled-event
   count, so :meth:`Simulator.pending_events` is a subtraction instead of a
   queue scan (the builder's handshake and drain loops poll it per step);
-* **cancelled-heap compaction** — cancelled handles used to linger in the
-  heap until popped; the queue now compacts itself the moment cancelled
-  entries exceed half of it, bounding both memory and per-push log cost;
+* **cancelled-heap compaction** — the queue compacts itself the moment
+  cancelled entries exceed half of it, bounding both memory and per-push
+  log cost;
 * **handle pooling** — call sites that never cancel (generation rounds,
   classical message delivery) schedule through :meth:`Simulator.post_at`,
   which recycles :class:`EventHandle` objects from a free list.  Pooled
   handles are never exposed to callers, so recycling cannot invalidate a
-  retained reference (timers and protocols that *do* cancel keep using
-  ``schedule``/``schedule_at`` and own their handle).
+  retained reference.
 
 Example::
 
@@ -83,14 +91,15 @@ def _noop() -> None:
 
 
 class EventHandle:
-    """Handle to a scheduled event, usable to cancel it before it fires."""
+    """Handle to a scheduled event, usable to cancel it before it fires.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner",
-                 "pooled")
+    It is also the kernel's timer: whoever arms a timeout keeps the handle
+    and cancels it to disarm.
+    """
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
+    __slots__ = ("callback", "args", "cancelled", "owner", "pooled")
+
+    def __init__(self, callback: Callable[..., Any], args: tuple):
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -120,17 +129,6 @@ class EventHandle:
         self.args = ()
         callback(*args)
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Tuple-free comparison: the heap compares handles on every push and
-        # pop, so avoiding two tuple allocations per comparison is measurable.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time} seq={self.seq} {state}>"
-
 
 class Simulator:
     """The discrete-event scheduler.
@@ -144,7 +142,8 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        self._queue: list[EventHandle] = []
+        #: Heap of ``(time, seq, handle)`` entries.
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = SerialCounter()
         self._now = 0.0
         self._running = False
@@ -198,9 +197,9 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        handle = EventHandle(time, next(self._seq), callback, args)
+        handle = EventHandle(callback, args)
         handle.owner = self
-        heapq.heappush(self._queue, handle)
+        heapq.heappush(self._queue, (time, next(self._seq), handle))
         return handle
 
     def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
@@ -218,15 +217,13 @@ class Simulator:
         if pool:
             handle = pool.pop()
             self.pool_hits += 1
-            handle.time = time
-            handle.seq = next(self._seq)
             handle.callback = callback
             handle.args = args
         else:
-            handle = EventHandle(time, next(self._seq), callback, args)
+            handle = EventHandle(callback, args)
             handle.owner = self
             handle.pooled = True
-        heapq.heappush(self._queue, handle)
+        heapq.heappush(self._queue, (time, next(self._seq), handle))
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Relative-delay variant of :meth:`post_at`."""
@@ -255,16 +252,16 @@ class Simulator:
         pop = heapq.heappop
         try:
             while queue:
-                head = queue[0]
+                time, _, head = queue[0]
                 if head.cancelled:
                     pop(queue)
                     self._cancelled -= 1
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     self._now = until
                     break
                 pop(queue)
-                self._now = head.time
+                self._now = time
                 self._event_count += 1
                 fired += 1
                 if max_events is not None and fired > max_events:
@@ -285,10 +282,10 @@ class Simulator:
         :meth:`run`, so :meth:`pending_events` stays exact.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
             self._cancelled -= 1
-        return queue[0].time if queue else None
+        return queue[0][0] if queue else None
 
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events — O(1)."""
@@ -308,8 +305,8 @@ class Simulator:
         queue list across callbacks, and a callback cancelling events may
         trigger compaction mid-loop.
         """
-        self._queue[:] = [handle for handle in self._queue
-                          if not handle.cancelled]
+        self._queue[:] = [entry for entry in self._queue
+                          if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled = 0
 
@@ -330,7 +327,7 @@ class Simulator:
         self.__dict__.update(state)
         pool = []
         for _ in range(pool_size):
-            handle = EventHandle(0.0, 0, _noop, ())
+            handle = EventHandle(_noop, ())
             handle.callback = None
             handle.owner = self
             handle.pooled = True

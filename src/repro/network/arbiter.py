@@ -53,12 +53,12 @@ class DeviceArbiter(Entity):
         it is ours.  In parallel mode the grant is immediate."""
         if not self.serialize:
             self.grants += 1
-            self.call_in(0.0, on_grant)
+            self.sim.schedule(0.0, on_grant)
             return
         if not self._busy:
             self._busy = True
             self.grants += 1
-            self.call_in(0.0, on_grant)
+            self.sim.schedule(0.0, on_grant)
         else:
             self._waiters.append((on_grant, self.now))
             if len(self._waiters) > self.max_queue_length:
@@ -74,7 +74,7 @@ class DeviceArbiter(Entity):
             next_grant, enqueued_at = self._waiters.popleft()
             self.grants += 1
             self.total_wait += self.now - enqueued_at
-            self.call_in(0.0, next_grant)
+            self.sim.schedule(0.0, next_grant)
         else:
             self._busy = False
 

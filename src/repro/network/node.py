@@ -44,11 +44,11 @@ class QuantumNode(Entity, Component):
                  backend: Optional[Backend] = None):
         super().__init__(sim, name)
         self.params = params
-        #: State formalism the node's pairs live in (threaded to the QMM and
-        #: every attached link by the topology builder).
+        #: State formalism the node's pairs live in (every attached link
+        #: creates its pairs through it).
         self.backend = get_backend(backend)
         self.device = NVDevice(sim, params, name=f"{name}.device")
-        self.qmm = QuantumMemoryManager(name, backend=self.backend)
+        self.qmm = QuantumMemoryManager(name)
         self.arbiter = DeviceArbiter(sim, name=f"{name}.arbiter",
                                      serialize=not params.parallel_links)
         if params.storage_qubits:

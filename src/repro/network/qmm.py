@@ -84,12 +84,8 @@ class SlotPool:
 class QuantumMemoryManager:
     """Per-node memory arbiter and correlator registry."""
 
-    def __init__(self, node_name: str, backend=None):
+    def __init__(self, node_name: str):
         self.node_name = node_name
-        #: The state formalism pairs parked here live in (``None`` until the
-        #: builder threads one through; diagnostics and services read it via
-        #: :attr:`formalism`).
-        self.backend = backend
         #: Immutable copy of the listener list — iterated on every slot
         #: release, so it must not be rebuilt (or mutated) per call.
         self._listener_snapshot: tuple = ()
@@ -201,11 +197,6 @@ class QuantumMemoryManager:
             return self._link_pools[link_name]
         except KeyError:
             raise KeyError(f"{self.node_name}: unknown link {link_name!r}") from None
-
-    @property
-    def formalism(self) -> str:
-        """Name of the active state formalism (``"dm"`` when unset)."""
-        return self.backend.name if self.backend is not None else "dm"
 
     def stats(self) -> dict[str, tuple[int, int]]:
         """(in_use, capacity) per pool — diagnostics for tests/benches."""

@@ -26,7 +26,7 @@ from .arrivals import (
 from .faults import FaultEvent, fault_schedule
 from .metrics import RecoveryStats, TrafficReport, build_report
 from .topologies import TOPOLOGIES, build_topology, topology_graph
-from .workload import SessionRecord, TrafficCircuit, TrafficEngine, run_traffic
+from .workload import SessionRecord, TrafficCircuit, TrafficEngine
 
 __all__ = [
     "DEFAULT_CLASSES",
@@ -43,6 +43,5 @@ __all__ = [
     "build_topology",
     "fault_schedule",
     "poisson_schedule",
-    "run_traffic",
     "topology_graph",
 ]

@@ -769,9 +769,3 @@ class TrafficEngine:
         self.records.append(SessionRecord(
             spec=spec, circuit_id=circuit.circuit_id,
             handle=handle, decision=decision))
-
-
-def run_traffic(net: Network, horizon_s: float = 5.0,
-                **engine_kwargs) -> TrafficReport:
-    """One-call convenience: build an engine, run it, return the report."""
-    return TrafficEngine(net, **engine_kwargs).run(horizon_s=horizon_s)

@@ -343,11 +343,8 @@ def test_formalism_threads_through_the_stack():
     assert net.formalism == "bell"
     for node in net.nodes.values():
         assert node.backend.name == "bell"
-        assert node.qmm.formalism == "bell"
     for link in net.links.values():
         assert link.backend.name == "bell"
-    for qnp in net.qnps.values():
-        assert qnp.formalism == "bell"
     circuit_id = net.establish_circuit("node0", "node2", 0.8)
     handle = net.submit(circuit_id, UserRequest(num_pairs=2),
                         record_fidelity=True)

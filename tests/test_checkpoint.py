@@ -239,7 +239,7 @@ class TestRoundTripProperties:
                    for tag, t in enumerate([5.0, 1.0, 3.0, 3.0, 8.0, 2.0])]
         handles[2].cancel()  # a dead entry must not resurrect on restore
         clone = pickle.loads(pickle.dumps(sim))
-        twin = next(handle.callback for handle in clone._queue
+        twin = next(handle.callback for _, _, handle in clone._queue
                     if handle.active)
         sim.run()
         clone.run()
@@ -307,16 +307,17 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_old_version_envelope_rejected(self, tmp_path, version):
         # Older layouts: versions 1-3 carried the process-global ID
         # counters in the envelope (1 also the Bell weight store's peak
         # occupancy), 2 pickled P² quantile estimators, 4 pickled the
         # session-retirement state, 5 pickled midpoint stations and
-        # per-submission delivery lists, and 6 pickled a traced network's
-        # flat event log beside its spans.  The engine blob is not a
-        # pickle, so deserialising it would fail with "corrupt engine
-        # state": the version check must come first.
+        # per-submission delivery lists, 6 pickled a traced network's
+        # flat event log beside its spans, and 7 pickled a heap of bare
+        # handles and wrapped the cutoff and keepalive handles in timer
+        # objects.  The engine blob is not a pickle, so deserialising it would fail with
+        # "corrupt engine state": the version check must come first.
         envelope = {"magic": "repro-checkpoint", "version": version,
                     "engine_blob": f"version-{version} engine".encode()}
         if version < 4:

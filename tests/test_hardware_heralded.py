@@ -158,18 +158,6 @@ class TestSingleClick:
         assert np.mean(samples) == pytest.approx(expected_mean, rel=0.1)
         assert min(samples) >= 1
 
-    def test_sample_produces_both_psi_states(self):
-        model = self.make()
-        rng = random.Random(7)
-        seen = {model.sample(0.1, rng).bell_index for _ in range(50)}
-        assert seen == {BellIndex.PSI_PLUS, BellIndex.PSI_MINUS}
-
-    def test_sample_duration_consistent(self):
-        model = self.make()
-        rng = random.Random(8)
-        sample = model.sample(0.1, rng)
-        assert sample.duration == pytest.approx(sample.attempts * model.cycle_time)
-
     def test_near_term_is_much_slower(self):
         lab = self.make()
         near = self.make(HeraldedConnection.telecom(25.0), NEAR_TERM)

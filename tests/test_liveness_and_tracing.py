@@ -71,6 +71,16 @@ class TestLiveness:
         with pytest.raises(ValueError):
             net.watch_circuit(circuit_id)
 
+    @pytest.mark.parametrize("interval_ms", [0.0, -5.0])
+    def test_non_positive_interval_rejected(self, interval_ms):
+        # A zero interval would re-arm the keepalive tick at the same
+        # instant forever.
+        net = build_chain_network(3, seed=34)
+        circuit_id = net.establish_circuit("node0", "node2", 0.8)
+        with pytest.raises(ValueError, match="interval must be positive"):
+            net.watch_circuit(circuit_id, interval_ms=interval_ms)
+        assert not net.liveness["node0"].is_watching(circuit_id)
+
     def test_unwatch_stops_monitoring(self):
         net = build_chain_network(3, seed=35)
         circuit_id = net.establish_circuit("node0", "node2", 0.8)

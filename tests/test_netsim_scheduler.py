@@ -264,6 +264,6 @@ def test_network_step_keeps_pending_count_exact():
     sim.schedule(2.0, lambda: None)
     head.cancel()
     net._step()
-    live = sum(1 for handle in sim._queue if not handle.cancelled)
+    live = sum(1 for _, _, handle in sim._queue if not handle.cancelled)
     assert sim.pending_events() == live == 0
     assert sim.now == 2.0
