@@ -119,10 +119,14 @@ class NVDevice(Entity):
         return self.params.gates.electron_single_qubit_duration
 
     def discard(self, qubit: Qubit) -> None:
-        """Trace a qubit out (cutoff expiry or demux cross-check failure)."""
+        """Trace a qubit out (cutoff expiry or demux cross-check failure).
+
+        No memory noise is brought up to date first: a trace-preserving
+        channel on the qubit cannot change what is left once it is traced
+        out.
+        """
         self.release_storage(qubit)
         if qubit.state is not None:
-            apply_memory_noise(qubit, self.now)
             qubit.state.remove(qubit)
 
     # ------------------------------------------------------------------

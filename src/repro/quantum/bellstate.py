@@ -19,8 +19,9 @@ shared, read-only inputs (the memoised link-pair weights) once
 Exactness:
 
 * **Exact** for Bell-diagonal inputs under dephasing, Pauli frames,
-  single/two-qubit depolarizing noise, entanglement swaps and Pauli-basis
-  measurements (the entire QNP hot path).
+  single/two-qubit depolarizing noise, entanglement swaps, Pauli-basis
+  measurements (the entire QNP hot path) and the distillation service's
+  bilateral Pauli twirl and DEJMPS rounds.
 * **Twirled approximation** for amplitude damping (T1) — the channel leaves
   the Bell-diagonal family, so the state is re-projected onto its Bell
   weights after each step (the projection preserves the fidelity of the
@@ -28,8 +29,8 @@ Exactness:
   T1 ≫ T2 parameters the deviation is negligible.
 * **Promotes itself** to an exact :class:`~repro.quantum.states.QState` the
   moment a caller requests an operation outside the closed family (arbitrary
-  unitaries, merges with other states, distillation circuits), so nothing is
-  ever silently wrong — only slower.
+  unitaries, merges with non-Bell states such as a teleported data qubit),
+  so nothing is ever silently wrong — only slower.
 
 The weight vector is always expressed in the *physical* frame: ``weights[k]``
 is the fidelity of the pair to Bell state ``k``.  Entanglement tracking
@@ -39,7 +40,7 @@ is the fidelity of the pair to Bell state ``k``.  Entanglement tracking
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -48,12 +49,20 @@ from .channels import decoherence_probabilities
 from .qubit import Qubit
 from .states import QState
 
+if TYPE_CHECKING:
+    from .operations import NoisyOpParams
+
 #: Basis labels the measurement fast path understands.
 _PAULI_BASES = ("Z", "X", "Y")
 
 #: ``XOR_IDX[k, i] = k ^ i`` — index table for Klein four-group convolutions
 #: and Pauli-frame permutations without Python loops.
 XOR_IDX = np.array([[k ^ i for i in range(4)] for k in range(4)])
+
+#: A Bell-diagonal pair's single-qubit marginal, shared read-only by every
+#: partner a trace-out leaves behind.
+_MAXIMALLY_MIXED = np.eye(2, dtype=complex) / 2.0
+_MAXIMALLY_MIXED.setflags(write=False)
 
 
 class BellPairState:
@@ -144,11 +153,8 @@ class BellPairState:
 
     def apply_depolarizing(self, p: float, qubit: Qubit) -> None:
         """Single-qubit depolarizing channel on one half of the pair."""
-        if p <= 0:
-            return
-        # Each non-identity Pauli (probability p/3) XOR-shifts the weights;
-        # summing the three shifts of w[k] gives 1 − w[k].
-        self.weights = (1.0 - 4.0 * p / 3.0) * self.weights + p / 3.0
+        if p > 0:
+            self.weights = _depolarized(self.weights, p)
 
     def apply_two_qubit_depolarizing(self, p: float) -> None:
         """Two-qubit depolarizing noise across the pair (gate error model)."""
@@ -228,7 +234,7 @@ class BellPairState:
         qubit.state = None
         partner.state = None
         self.qubits = []
-        QState(np.eye(2, dtype=complex) / 2.0, [partner])
+        QState.from_trusted_dm(_MAXIMALLY_MIXED, [partner])
 
     def promote(self) -> QState:
         """Rebind both qubits to an exact density-matrix state.
@@ -278,10 +284,25 @@ def exact_state(qubit: Qubit) -> QState:
     return state
 
 
+def _depolarized(weights: np.ndarray, p: float) -> np.ndarray:
+    """Single-qubit depolarizing closed form on Bell weights.
+
+    Each non-identity Pauli (probability p/3) XOR-shifts the weights;
+    summing the three shifts of w[k] gives 1 − w[k].
+    """
+    return (1.0 - 4.0 * p / 3.0) * weights + p / 3.0
+
+
 def _two_qubit_depolarized(weights: np.ndarray, p: float) -> np.ndarray:
     """Two-qubit depolarizing closed form on Bell weights (shared by the
-    channel and the swap fast path)."""
-    return (1.0 - 16.0 * p / 15.0) * weights + (16.0 * p / 15.0) / 4.0
+    channel, the swap and the DEJMPS fast paths).
+
+    Each non-identity Pauli pair (probability p/15) XOR-shifts the weights,
+    and the average over all 16 pairs is uniform, so the channel is
+    ``(1 − 16p/15)·w + (16p/15)·uniform`` — on a pair's 4 weights and on
+    the 16-entry DEJMPS joint alike.
+    """
+    return (1.0 - 16.0 * p / 15.0) * weights + (16.0 * p / 15.0) / weights.size
 
 
 def create_bell_diagonal_pair(weights: Sequence[float], name_a: str = "",
@@ -335,6 +356,123 @@ def swap_measure(qubit_a: Qubit, qubit_b: Qubit, rng,
     state_b.qubits = []
     BellPairState.from_trusted_weights(weights, [remote_a, remote_b])
     return outcome
+
+
+def readout_flip(bit: int, rng, ops: "NoisyOpParams") -> int:
+    """1 when the readout of true outcome ``bit`` is misreported, else 0.
+
+    The classical readout-error layer every measurement path shares; it
+    draws from ``rng`` only when the bit's error probability is positive.
+    """
+    error = ops.readout_error0 if bit == 0 else ops.readout_error1
+    return 1 if (error > 0 and rng.random() < error) else 0
+
+
+#: DEJMPS's bilateral rotation ``Rx(+π/2) ⊗ Rx(−π/2)`` on Bell indices: Φ+
+#: and Ψ+ stay, Φ− and Ψ− trade places.
+_DEJMPS_ROTATION = np.array([0, 1, 3, 2])
+
+
+def _bilateral_cnot_source() -> np.ndarray:
+    """Where each joint (keep, sacrifice) Bell index comes from under the
+    bilateral CNOT, as a flat gather table over ``4 * keep + sacrifice``.
+
+    The CNOT pair maps keep ``(a_k, b_k)`` and sacrifice ``(a_s, b_s)``
+    (phase, parity) to ``(a_k ^ a_s, b_k)`` and ``(a_s, b_s ^ b_k)``: phase
+    errors flow back to the kept pair, parity errors forward to the
+    sacrifice.
+    """
+    source = np.empty(16, dtype=np.intp)
+    for keep in range(4):
+        for sacrifice in range(4):
+            keep_phase, keep_parity = keep >> 1, keep & 1
+            sac_phase, sac_parity = sacrifice >> 1, sacrifice & 1
+            new_keep = ((keep_phase ^ sac_phase) << 1) | keep_parity
+            new_sacrifice = (sac_phase << 1) | (sac_parity ^ keep_parity)
+            source[4 * new_keep + new_sacrifice] = 4 * keep + sacrifice
+    return source
+
+
+_BILATERAL_CNOT_SOURCE = _bilateral_cnot_source()
+
+
+def bell_pair_of(qubit_a: Qubit, qubit_b: Qubit) -> BellPairState | None:
+    """The :class:`BellPairState` whose two halves are ``qubit_a`` and
+    ``qubit_b``, or ``None`` when they are not one Bell-diagonal pair."""
+    state = qubit_a.state
+    if isinstance(state, BellPairState) and state is qubit_b.state:
+        return state
+    return None
+
+
+def dejmps_joint(keep_weights: np.ndarray, sacrifice_weights: np.ndarray,
+                 ops: "NoisyOpParams") -> np.ndarray:
+    """Joint law of a DEJMPS round on two Bell-diagonal pairs, read out.
+
+    Returns the 4×2 array ``joint[k, b]``: the probability that the kept
+    pair ends in Bell state ``k`` and the sacrifice's Z outcomes differ by
+    ``b`` (its parity bit).  The gate sequence of
+    :func:`repro.services.distillation.dejmps_round` maps Bell-diagonal
+    pairs to a Bell-diagonal joint ``J[k, s]`` over the kept and sacrificed
+    Bell states, step by step:
+
+    1. the bilateral rotation permutes each pair's weights, and each
+       rotation's depolarizing noise mixes them;
+    2. ``J`` starts as their outer product and the bilateral CNOT permutes
+       it; each node's two-qubit gate error shifts ``(k, s)`` by a uniform
+       non-identity Pauli pair;
+    3. the Z measurements see only the sacrifice's parity bit, which each
+       measurement's depolarizing noise flips with probability ``2p/3``.
+    """
+    single = ops.single_qubit_depolar_prob
+    keep_weights = keep_weights[_DEJMPS_ROTATION]
+    sacrifice_weights = sacrifice_weights[_DEJMPS_ROTATION]
+    if single > 0:
+        # Depolarizing commutes with the rotation it follows.
+        keep_weights = _depolarized(_depolarized(keep_weights, single), single)
+        sacrifice_weights = _depolarized(_depolarized(sacrifice_weights, single),
+                                         single)
+    joint = np.outer(keep_weights, sacrifice_weights).ravel()[_BILATERAL_CNOT_SOURCE]
+    two = ops.two_qubit_depolar_prob
+    if two > 0:
+        joint = _two_qubit_depolarized(_two_qubit_depolarized(joint, two), two)
+    # Sum each sacrifice parity over the sacrifice's phase bit.
+    joint = joint.reshape(4, 2, 2).sum(axis=1)
+    flip = 2.0 * single / 3.0
+    if flip > 0:
+        for _ in range(2):
+            joint = (1.0 - flip) * joint + flip * joint[:, ::-1]
+    return joint
+
+
+def dejmps_measure(keep: BellPairState, sacrifice: BellPairState, rng,
+                   ops: "NoisyOpParams") -> tuple[int, int]:
+    """One DEJMPS round across two distinct Bell-diagonal pairs, in O(1).
+
+    The closed form of :func:`repro.services.distillation.dejmps_round` on
+    :func:`dejmps_joint`.  The draws match the exact engine one for one:
+    node A's true bit is a fair coin, then its readout flip; node B's true
+    bit agrees with it with the probability that the sacrifice parity is
+    even, then its readout flip.  The sacrifice's qubits are consumed.
+    ``keep`` takes the column of the joint at the *true* parity,
+    normalised — whatever the reported bits say.
+
+    Returns the reported ``(outcome_a, outcome_b)``; the round succeeded
+    when they are equal.
+    """
+    joint = dejmps_joint(keep.weights, sacrifice.weights, ops)
+    even, odd = joint.sum(axis=0)
+    outcome_a = 0 if rng.random() < 0.5 else 1
+    reported_a = outcome_a ^ readout_flip(outcome_a, rng, ops)
+    agree = even / (even + odd)
+    outcome_b = 0 if rng.random() < (agree if outcome_a == 0 else 1.0 - agree) else 1
+    reported_b = outcome_b ^ readout_flip(outcome_b, rng, ops)
+    kept = joint[:, outcome_a ^ outcome_b]
+    keep.weights = kept / kept.sum()
+    for qubit in sacrifice.qubits:
+        qubit.state = None
+    sacrifice.qubits = []
+    return reported_a, reported_b
 
 
 def _conditional_dm(basis: str, bit: int, flip_probability: float) -> np.ndarray:

@@ -19,7 +19,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .bellstate import BellPairState, exact_state as _exact_state, swap_measure
+from .bellstate import (
+    BellPairState,
+    exact_state as _exact_state,
+    readout_flip,
+    swap_measure,
+)
 from .channels import two_qubit_depolarizing_kraus, depolarizing_kraus
 from .gates import (
     BASIS_ROTATION_SUPEROPS,
@@ -115,8 +120,8 @@ def bell_state_measurement(qubit_a: Qubit, qubit_b: Qubit, rng,
                                single_qubit_depolar=ops.single_qubit_depolar_prob)
         phase_bit = (outcome >> 1) & 1
         parity_bit = outcome & 1
-        phase_bit ^= _readout_flip(phase_bit, rng, ops)
-        parity_bit ^= _readout_flip(parity_bit, rng, ops)
+        phase_bit ^= readout_flip(phase_bit, rng, ops)
+        parity_bit ^= readout_flip(parity_bit, rng, ops)
         return (phase_bit << 1) | parity_bit
     state = _ensure_joint(qubit_a, qubit_b)
     if ops.two_qubit_depolar_prob > 0:
@@ -130,14 +135,9 @@ def bell_state_measurement(qubit_a: Qubit, qubit_b: Qubit, rng,
         state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob), [qubit_a])
     phase_bit = state.measure(qubit_a, rng)
     parity_bit = state.measure(qubit_b, rng)
-    phase_bit ^= _readout_flip(phase_bit, rng, ops)
-    parity_bit ^= _readout_flip(parity_bit, rng, ops)
+    phase_bit ^= readout_flip(phase_bit, rng, ops)
+    parity_bit ^= readout_flip(parity_bit, rng, ops)
     return (phase_bit << 1) | parity_bit
-
-
-def _readout_flip(bit: int, rng, ops: NoisyOpParams) -> int:
-    error = ops.readout_error0 if bit == 0 else ops.readout_error1
-    return 1 if (error > 0 and rng.random() < error) else 0
 
 
 def measure_qubit(qubit: Qubit, rng, basis: str = "Z",
@@ -160,14 +160,14 @@ def measure_qubit(qubit: Qubit, rng, basis: str = "Z",
         if ops.single_qubit_depolar_prob > 0:
             state.apply_depolarizing(ops.single_qubit_depolar_prob, qubit)
         bit = state.measure_in_basis(qubit, basis, rng)
-        return bit ^ _readout_flip(bit, rng, ops)
+        return bit ^ readout_flip(bit, rng, ops)
     rotation = BASIS_ROTATION_SUPEROPS[basis]
     if rotation is not None:
         state.apply_superop(rotation, [qubit])
     if ops.single_qubit_depolar_prob > 0:
         state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob), [qubit])
     bit = state.measure(qubit, rng)
-    return bit ^ _readout_flip(bit, rng, ops)
+    return bit ^ readout_flip(bit, rng, ops)
 
 
 def pauli_correct(qubit: Qubit, frame_index: int,

@@ -211,16 +211,21 @@ class QState:
         return outcome
 
     def remove(self, qubit: Qubit) -> None:
-        """Partial-trace a qubit out of the state and detach its handle."""
+        """Partial-trace a qubit out of the state and detach its handle.
+
+        The last qubit of a state is detached without a trace: nothing is
+        left to keep.
+        """
         position = self.index_of(qubit)
         n = self.num_qubits
-        tensor = self.dm.reshape([2] * (2 * n))
-        tensor = np.trace(tensor, axis1=position, axis2=position + n)
         self.qubits.pop(position)
         qubit.state = None
-        remaining = len(self.qubits)
-        self.dm = tensor.reshape(2 ** remaining, 2 ** remaining) if remaining else \
-            np.array([[1.0]], dtype=complex)
+        if n == 1:
+            self.dm = np.array([[1.0]], dtype=complex)
+            return
+        tensor = np.trace(self.dm.reshape([2] * (2 * n)),
+                          axis1=position, axis2=position + n)
+        self.dm = tensor.reshape(2 ** (n - 1), 2 ** (n - 1))
 
     def reduced_dm(self, targets: Sequence[Qubit]) -> np.ndarray:
         """Density matrix of a subset of qubits (others traced out)."""

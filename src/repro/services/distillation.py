@@ -5,8 +5,11 @@ two nodes and, with finite probability, produces one pair of higher
 fidelity.  The paper proposes running it *between circuits*: an inner QNP
 circuit delivers pairs to the distillation module at two intermediate
 end-points, and the distilled pairs feed a virtual link for an outer
-circuit.  This module implements the quantum core of that service on the
-density-matrix engine plus the pairing logic that consumes QNP deliveries.
+circuit.  This module implements the quantum core of that service plus the
+pairing logic that consumes QNP deliveries.  The twirl and the DEJMPS round
+are exact in both state formalisms: on Bell-diagonal pairs they run in
+closed form (:func:`repro.quantum.bellstate.dejmps_measure`) without
+leaving the Bell formalism, and on density matrices they run gate by gate.
 
 The DEJMPS recipe (Deutsch et al.) for pairs in the Φ+ frame:
 
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..quantum.bell import BellIndex
+from ..quantum.bellstate import bell_pair_of, dejmps_measure
 from ..quantum.gates import CNOT, rx
 from ..quantum.operations import (
     NoisyOpParams,
@@ -53,19 +57,29 @@ def dejmps_round(pair_one: tuple[Qubit, Qubit], pair_two: tuple[Qubit, Qubit],
 
     ``pair_one`` is kept on success; ``pair_two`` is always consumed.
     Qubit order within each tuple: (node A's qubit, node B's qubit).
+
+    Two Bell-diagonal pairs take the closed form of
+    :func:`~repro.quantum.bellstate.dejmps_measure`, which draws from
+    ``rng`` exactly as the gate sequence below does; any other input runs
+    that sequence on the exact engine.
     """
     keep_a, keep_b = pair_one
     sac_a, sac_b = pair_two
-    plus = rx(math.pi / 2)
-    minus = rx(-math.pi / 2)
-    apply_gate(keep_a, plus, ops)
-    apply_gate(sac_a, plus, ops)
-    apply_gate(keep_b, minus, ops)
-    apply_gate(sac_b, minus, ops)
-    apply_two_qubit_gate(keep_a, sac_a, CNOT, ops)
-    apply_two_qubit_gate(keep_b, sac_b, CNOT, ops)
-    outcome_a = measure_qubit(sac_a, rng, "Z", ops)
-    outcome_b = measure_qubit(sac_b, rng, "Z", ops)
+    keep = bell_pair_of(keep_a, keep_b)
+    sacrifice = bell_pair_of(sac_a, sac_b)
+    if keep is not None and sacrifice is not None:
+        outcome_a, outcome_b = dejmps_measure(keep, sacrifice, rng, ops)
+    else:
+        plus = rx(math.pi / 2)
+        minus = rx(-math.pi / 2)
+        apply_gate(keep_a, plus, ops)
+        apply_gate(sac_a, plus, ops)
+        apply_gate(keep_b, minus, ops)
+        apply_gate(sac_b, minus, ops)
+        apply_two_qubit_gate(keep_a, sac_a, CNOT, ops)
+        apply_two_qubit_gate(keep_b, sac_b, CNOT, ops)
+        outcome_a = measure_qubit(sac_a, rng, "Z", ops)
+        outcome_b = measure_qubit(sac_b, rng, "Z", ops)
     success = outcome_a == outcome_b
     if not success:
         # Both remaining qubits are useless: discard them.
@@ -97,13 +111,16 @@ def pauli_twirl(qubit_a: Qubit, qubit_b: Qubit, rng,
     This matters for distillation of real QNP pairs: the heralded |11⟩
     admixture carries Φ+/Φ− coherences that slip through the DEJMPS parity
     check; twirling first restores the textbook behaviour.
-    """
-    from ..quantum.gates import I2, X, Y, Z
 
-    pauli = rng.choice((I2, X, Y, Z))
-    if pauli is not I2:
-        apply_gate(qubit_a, pauli, ops)
-        apply_gate(qubit_b, pauli, ops)
+    The Pauli goes through :func:`pauli_correct` as a frame index (Y is
+    ``XZ`` up to a global phase).  A Bell-diagonal pair is already twirled:
+    ``P ⊗ P`` leaves it as it is, so only the two gates' depolarizing noise
+    acts on it.
+    """
+    frame = rng.choice((0, 1, 3, 2))  # I, X, Y ≅ XZ, Z
+    if frame:
+        pauli_correct(qubit_a, frame, ops)
+        pauli_correct(qubit_b, frame, ops)
 
 
 class DistillationModule:
@@ -185,9 +202,10 @@ class DistillationModule:
 def theoretical_dejmps_fidelity(fidelity: float) -> float:
     """Output fidelity of DEJMPS on two Werner pairs (noiseless gates).
 
-    Standard closed form: with input fidelity F and Werner weights
-    p = (1−F)/3, success keeps
-    ``F' = (F² + p²) / (F² + 2 p F_mix…)`` — written out explicitly below.
+    With input fidelity F, each other Bell state weighs p = (1−F)/3, and a
+    successful round keeps ``F' = (F² + p²) / (F² + 2Fp + 5p²)``; the
+    denominator is the success probability,
+    :func:`theoretical_dejmps_success`.
     """
     p = (1.0 - fidelity) / 3.0
     numerator = fidelity ** 2 + p ** 2

@@ -30,6 +30,7 @@ from repro.core.requests import DeliveryStatus, PairDelivery
 from repro.network.builder import MatchedPair
 from repro.quantum.backends import get_backend
 from repro.quantum.bell import BellIndex
+from repro.quantum.bellstate import BellPairState
 from repro.quantum.fidelity import pair_fidelity
 from repro.quantum.operations import measure_qubit
 from repro.traffic import TrafficEngine, build_topology
@@ -213,6 +214,19 @@ class TestDistilApp:
         assert metrics["distilled_fidelity"] > metrics["raw_fidelity"]
         assert metrics["fidelity_gain"] > 0
         assert outcome.slo.met
+
+    def test_bell_stream_distils_without_promotion(self, monkeypatch):
+        def refuse(state):
+            raise AssertionError("a Bell-diagonal pair was promoted")
+
+        monkeypatch.setattr(BellPairState, "promote", refuse)
+        app = get_app("distil")(make_context(seed=6))
+        for _ in range(41):
+            assert app.consume(make_pair(0.8, "bell")) is True
+        metrics = app.finalise(elapsed_s=1.0).metrics
+        assert metrics["rounds_attempted"] > 20  # second-level rounds ran
+        assert metrics["pairs_out"] > 0
+        assert metrics["fidelity_gain"] > 0
 
     def test_pending_buffers_are_freed(self):
         app = get_app("distil")(make_context(seed=7))

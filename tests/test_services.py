@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.network.builder import build_chain_network
 from repro.quantum import (
@@ -22,9 +23,12 @@ from repro.quantum import (
     werner_dm,
 )
 from repro.quantum.backends import get_backend
+from repro.quantum.bellstate import create_bell_diagonal_pair, dejmps_joint
+from repro.quantum.operations import PERFECT_OPS
 from repro.services import (
     DistillationModule,
     dejmps_round,
+    pauli_twirl,
     run_bbm92,
     run_test_rounds,
     theoretical_dejmps_fidelity,
@@ -142,6 +146,98 @@ class TestDejmps:
             / len(two.distilled)
         assert abs(fidelity_one - 0.83) < 0.03      # round 1 ≈ neutral
         assert fidelity_two > 0.92                  # round 2 purifies
+
+
+bell_weights = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4,
+                        max_size=4)
+noisy_ops = st.builds(
+    NoisyOpParams,
+    two_qubit_gate_fidelity=st.floats(min_value=0.8, max_value=1.0),
+    single_qubit_gate_fidelity=st.floats(min_value=0.8, max_value=1.0),
+    readout_error0=st.floats(min_value=0.0, max_value=0.5),
+    readout_error1=st.floats(min_value=0.0, max_value=0.5))
+
+
+def _normalised(raw):
+    assume(sum(raw) > 0.1)
+    return np.array(raw) / sum(raw)
+
+
+def _refuse_promotion(state):
+    raise AssertionError("a Bell-diagonal pair was promoted")
+
+
+class TestDejmpsClosedForm:
+    """The Bell formalism's closed-form twirl and DEJMPS round against the
+    exact engine, which runs the same gates on the promoted pairs."""
+
+    @settings(deadline=None)
+    @given(bell_weights, bell_weights, noisy_ops,
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_matches_exact_engine(self, keep_raw, sacrifice_raw, ops, seed):
+        keep_weights = _normalised(keep_raw)
+        sacrifice_weights = _normalised(sacrifice_raw)
+        runs = []
+        for promote in (False, True):
+            pair_one = create_bell_diagonal_pair(keep_weights)
+            pair_two = create_bell_diagonal_pair(sacrifice_weights)
+            if promote:
+                pair_one[0].state.promote()
+                pair_two[0].state.promote()
+            rng = random.Random(seed)
+            pauli_twirl(*pair_one, rng, ops)
+            pauli_twirl(*pair_two, rng, ops)
+            twirled = [pair_fidelity(*pair_one, k) for k in range(4)]
+            outcome = dejmps_round(pair_one, pair_two, rng, ops)
+            kept = None
+            if outcome.success:
+                # The closed form keeps the pair Bell-diagonal.
+                assert isinstance(outcome.keep_a.state, BellPairState) is not promote
+                kept = [pair_fidelity(outcome.keep_a, outcome.keep_b, k)
+                        for k in range(4)]
+            runs.append(((outcome.success, outcome.outcome_a, outcome.outcome_b),
+                         rng.random(), twirled, kept))
+        closed, exact = runs
+        assert closed[0] == exact[0]
+        assert closed[1] == exact[1]
+        assert closed[2] == pytest.approx(exact[2], abs=1e-12)
+        if closed[3] is not None:
+            assert closed[3] == pytest.approx(exact[3], abs=1e-12)
+
+    @pytest.mark.parametrize("fidelity", [0.25, 0.5, 0.7, 0.85, 1.0])
+    def test_werner_inputs_follow_the_textbook_map(self, fidelity):
+        p = (1.0 - fidelity) / 3.0
+        weights = np.array([fidelity, p, p, p])
+        joint = dejmps_joint(weights, weights, PERFECT_OPS)
+        success = joint[:, 0].sum()
+        assert success == pytest.approx(theoretical_dejmps_success(fidelity),
+                                        abs=1e-12)
+        expected = theoretical_dejmps_fidelity(fidelity)
+        assert joint[0, 0] / success == pytest.approx(expected, abs=1e-12)
+        rng = random.Random(11)
+        while True:
+            outcome = dejmps_round(create_bell_diagonal_pair(weights),
+                                   create_bell_diagonal_pair(weights), rng)
+            if outcome.success:
+                break
+        assert pair_fidelity(outcome.keep_a, outcome.keep_b, 0) == \
+            pytest.approx(expected, abs=1e-12)
+
+    def test_two_level_module_never_promotes(self, monkeypatch):
+        monkeypatch.setattr(BellPairState, "promote", _refuse_promotion)
+        ops = NoisyOpParams(two_qubit_gate_fidelity=0.99,
+                            single_qubit_gate_fidelity=0.995,
+                            readout_error0=0.01, readout_error1=0.02)
+        module = DistillationModule(random.Random(9), ops, levels=2)
+        for _ in range(16):
+            # Ψ+ deliveries carrying the single-click error mix.
+            qubit_a, qubit_b = create_bell_diagonal_pair([0.085, 0.83, 0.085, 0.0])
+            module.absorb(qubit_a, qubit_b, bell_state=1)
+        assert module.rounds_attempted > 8  # some second-level rounds ran
+        assert module.distilled
+        for keep_a, keep_b in module.distilled:
+            assert isinstance(keep_a.state, BellPairState)
+            assert keep_a.state is keep_b.state
 
 
 def _state_error_rates(qubit_a, qubit_b, bell_index: int):
