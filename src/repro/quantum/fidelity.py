@@ -13,7 +13,7 @@ import numpy as np
 from .bell import bell_vector
 from .bellstate import BellPairState, exact_state
 from .qubit import Qubit
-from .states import QState
+from .states import SWAPPED_PAIR, QState
 
 
 def pure_state_fidelity(dm: np.ndarray, vector: np.ndarray) -> float:
@@ -59,6 +59,13 @@ def pair_fidelity(qubit_a: Qubit, qubit_b: Qubit, bell_index: int = 0) -> float:
         if isinstance(state, BellPairState):
             # Bell formalism: the fidelity IS the weight.
             return state.fidelity_to(bell_index)
+        if len(state.qubits) == 2 and qubit_a is not qubit_b:
+            # The pair is the whole state: its dm, in the asked-for order,
+            # is the reduced dm with nothing to trace out.
+            dm = state.dm
+            if state.qubits[0] is qubit_b:
+                dm = dm.reshape(16)[SWAPPED_PAIR].reshape(4, 4)
+            return bell_fidelity(dm, bell_index)
     else:
         state = QState.merge(exact_state(qubit_a), exact_state(qubit_b))
     dm = state.reduced_dm([qubit_a, qubit_b])

@@ -3,7 +3,8 @@
 The density-matrix engine applies every gate and channel as one contraction
 against its Liouville-form superoperator (see :func:`superoperator`); the
 fixed gates of the hot path — the Bell-measurement rotation, the Pauli
-frames and the measurement-basis rotations — have theirs precomputed here.
+frames, the measurement-basis rotations and DEJMPS's rotations — have
+theirs precomputed here.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ def rz(theta: float) -> np.ndarray:
     """Rotation about the Z axis by ``theta`` radians."""
     phase = np.exp(-1j * theta / 2)
     return np.array([[phase, 0], [0, phase.conjugate()]], dtype=complex)
+
+
+#: Superoperators of DEJMPS's bilateral rotations ``Rx(+π/2)`` and
+#: ``Rx(−π/2)``, which the density-matrix distillation path applies every
+#: round.
+RX_PLUS_SUPEROP = superoperator(rx(np.pi / 2))
+RX_MINUS_SUPEROP = superoperator(rx(-np.pi / 2))
 
 
 def pauli_frame_gate(frame_index: int) -> np.ndarray:

@@ -34,9 +34,10 @@ from .gates import (
     H_SUPEROP,
     I2,
     PAULI_FRAME,
+    superoperator,
 )
 from .qubit import Qubit
-from .states import QState
+from .states import SWAPPED_PAIR, QState, _TOL
 
 
 @dataclass(frozen=True)
@@ -104,39 +105,98 @@ def bell_state_measurement(qubit_a: Qubit, qubit_b: Qubit, rng,
     This is the physical core of the entanglement swap: the two qubits are
     consumed (measured out and removed from their state) and the packed
     two-bit outcome index is returned, with readout errors applied to the
-    reported bits.  The remaining qubits of the merged state — the remote
-    halves of the two input pairs — are left entangled with each other.
+    reported bits.  The remote halves of the two input pairs are left
+    entangled with each other.
 
-    When both qubits are halves of two distinct Bell-diagonal pairs the
-    whole measurement collapses to the O(1) XOR-convolution fast path of
-    :mod:`repro.quantum.bellstate`; any other configuration promotes to the
-    exact engine.
+    Two distinct pairs take a fast path that never merges them: two
+    Bell-diagonal pairs the O(1) XOR-convolution of
+    :mod:`repro.quantum.bellstate`, two 2-qubit density matrices the
+    bilinear kernel of :func:`_kernel_swap_measure`.  Every other
+    configuration (a Bell pair with a density matrix, a shared state, a
+    state of three or more qubits) merges the states on the exact engine
+    and measures there, promoting Bell-diagonal pairs first; that path is
+    also the oracle the fast paths are tested against.
     """
-    if (isinstance(qubit_a.state, BellPairState)
-            and isinstance(qubit_b.state, BellPairState)
-            and qubit_a.state is not qubit_b.state):
+    state_a, state_b = qubit_a.state, qubit_b.state
+    if (state_a is not state_b and isinstance(state_a, BellPairState)
+            and isinstance(state_b, BellPairState)):
         outcome = swap_measure(qubit_a, qubit_b, rng,
                                two_qubit_depolar=ops.two_qubit_depolar_prob,
                                single_qubit_depolar=ops.single_qubit_depolar_prob)
-        phase_bit = (outcome >> 1) & 1
-        parity_bit = outcome & 1
-        phase_bit ^= readout_flip(phase_bit, rng, ops)
-        parity_bit ^= readout_flip(parity_bit, rng, ops)
-        return (phase_bit << 1) | parity_bit
-    state = _ensure_joint(qubit_a, qubit_b)
-    if ops.two_qubit_depolar_prob > 0:
-        state.apply_channel(two_qubit_depolarizing_kraus(ops.two_qubit_depolar_prob),
-                            [qubit_a, qubit_b])
-    # Rotate the Bell basis onto the computational basis: CNOT then H on the
-    # control maps |B_ab⟩ → |a⟩|b⟩.
-    state.apply_superop(CNOT_SUPEROP, [qubit_a, qubit_b])
-    state.apply_superop(H_SUPEROP, [qubit_a])
-    if ops.single_qubit_depolar_prob > 0:
-        state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob), [qubit_a])
-    phase_bit = state.measure(qubit_a, rng)
-    parity_bit = state.measure(qubit_b, rng)
+    elif (state_a is not state_b and isinstance(state_a, QState)
+            and isinstance(state_b, QState)
+            and len(state_a.qubits) == 2 and len(state_b.qubits) == 2):
+        outcome = _kernel_swap_measure(qubit_a, qubit_b, rng, ops)
+    else:
+        state = _ensure_joint(qubit_a, qubit_b)
+        if ops.two_qubit_depolar_prob > 0:
+            state.apply_channel(two_qubit_depolarizing_kraus(ops.two_qubit_depolar_prob),
+                                [qubit_a, qubit_b])
+        # Rotate the Bell basis onto the computational basis: CNOT then H on
+        # the control maps |B_ab⟩ → |a⟩|b⟩.
+        state.apply_superop(CNOT_SUPEROP, [qubit_a, qubit_b])
+        state.apply_superop(H_SUPEROP, [qubit_a])
+        if ops.single_qubit_depolar_prob > 0:
+            state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob),
+                                [qubit_a])
+        phase_bit = state.measure(qubit_a, rng)
+        outcome = (phase_bit << 1) | state.measure(qubit_b, rng)
+    phase_bit = (outcome >> 1) & 1
+    parity_bit = outcome & 1
     phase_bit ^= readout_flip(phase_bit, rng, ops)
     parity_bit ^= readout_flip(parity_bit, rng, ops)
+    return (phase_bit << 1) | parity_bit
+
+
+def _kernel_swap_measure(qubit_b1: Qubit, qubit_b2: Qubit, rng,
+                         ops: NoisyOpParams) -> int:
+    """The noisy BSM of the halves of two 2-qubit density matrices, unmerged.
+
+    ``qubit_b1`` pairs with a remote ``A`` and ``qubit_b2`` with a remote
+    ``C``.  One real product of :func:`_bsm_kernel` against
+    ``vec(ρ_AB1) ⊗ vec(ρ_B2C)`` gives the four unnormalised A-C branches
+    ``σ_o`` (``o = 2·phase + parity``) that the merged path would leave
+    behind.  The draws are the merged path's, in its order: the phase bit
+    from its marginal ``tr σ_{phase,0} + tr σ_{phase,1}``, then the parity
+    bit conditioned on it.  ``[A, C]`` are rebound to the drawn branch, in
+    the order the merged path leaves them.
+
+    Returns the true two-bit outcome; the caller adds the readout flips.
+    """
+    state_a, state_b = qubit_b1.state, qubit_b2.state
+    # The kernel reads ρ_AB1 in the order (A, B1) and ρ_B2C in (B2, C);
+    # a pair stored the other way round is permuted by index, exactly.
+    rho_ab = state_a.dm.reshape(16)
+    if state_a.qubits[0] is qubit_b1:
+        remote_a = state_a.qubits[1]
+        rho_ab = rho_ab[SWAPPED_PAIR]
+    else:
+        remote_a = state_a.qubits[0]
+    rho_bc = state_b.dm.reshape(16)
+    if state_b.qubits[1] is qubit_b2:
+        remote_c = state_b.qubits[0]
+        rho_bc = rho_bc[SWAPPED_PAIR]
+    else:
+        remote_c = state_b.qubits[1]
+    joint = np.multiply.outer(rho_ab, rho_bc).view(float).reshape(256, 2)
+    branches = (_bsm_kernel(ops) @ joint).view(complex).reshape(4, 4, 4)
+    traces = branches.trace(axis1=1, axis2=2).real.tolist()
+    phase0 = traces[0] + traces[1]
+    phase_bit = 0 if rng.random() < min(max(phase0, 0.0), 1.0) else 1
+    norm = phase0 if phase_bit == 0 else traces[2] + traces[3]
+    if norm <= _TOL:
+        raise RuntimeError("measurement collapsed to zero-probability branch")
+    parity0 = traces[2 * phase_bit] / norm
+    parity_bit = 0 if rng.random() < min(max(parity0, 0.0), 1.0) else 1
+    conditional = parity0 if parity_bit == 0 else traces[2 * phase_bit + 1] / norm
+    if conditional <= _TOL:
+        raise RuntimeError("measurement collapsed to zero-probability branch")
+    dm = branches[2 * phase_bit + parity_bit] / norm / conditional
+    for qubit in (qubit_b1, qubit_b2):
+        qubit.state = None
+    state_a.qubits = []
+    state_b.qubits = []
+    QState.from_trusted_dm(dm, [remote_a, remote_c])
     return (phase_bit << 1) | parity_bit
 
 
@@ -189,22 +249,37 @@ def pauli_correct(qubit: Qubit, frame_index: int,
 
 
 def apply_gate(qubit: Qubit, gate: np.ndarray, ops: NoisyOpParams = PERFECT_OPS) -> None:
-    """Apply a noisy single-qubit gate."""
+    """Apply a noisy single-qubit gate.
+
+    ``gate`` is the 2×2 unitary, or its prebuilt 4×4 superoperator (such as
+    :data:`~repro.quantum.gates.RX_PLUS_SUPEROP`), which saves building it.
+    """
     if qubit.state is None:
         raise ValueError("cannot operate on a freed qubit")
-    qubit.state.apply_unitary(gate, [qubit])
+    state = _exact_state(qubit)
+    state.apply_superop(_superop_of(gate, 1), [qubit])
     if ops.single_qubit_depolar_prob > 0:
-        qubit.state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob), [qubit])
+        state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob), [qubit])
 
 
 def apply_two_qubit_gate(control: Qubit, target: Qubit, gate: np.ndarray,
                          ops: NoisyOpParams = PERFECT_OPS) -> None:
-    """Apply a noisy two-qubit gate (merging states if needed)."""
+    """Apply a noisy two-qubit gate (merging states if needed).
+
+    ``gate`` is the 4×4 unitary, or its prebuilt 16×16 superoperator (such
+    as :data:`~repro.quantum.gates.CNOT_SUPEROP`).
+    """
     state = _ensure_joint(control, target)
-    state.apply_unitary(gate, [control, target])
+    state.apply_superop(_superop_of(gate, 2), [control, target])
     if ops.two_qubit_depolar_prob > 0:
         state.apply_channel(two_qubit_depolarizing_kraus(ops.two_qubit_depolar_prob),
                             [control, target])
+
+
+def _superop_of(gate: np.ndarray, targets: int) -> np.ndarray:
+    """``gate`` itself when it is already a superoperator on ``targets``
+    qubits (``4^k`` square), else the superoperator of the unitary."""
+    return gate if gate.shape[0] == 4 ** targets else superoperator(gate)
 
 
 def discard(*qubits: Qubit) -> None:
@@ -260,28 +335,55 @@ def averaged_swap_dm(rho_ab: np.ndarray, rho_bc: np.ndarray,
 
 
 @lru_cache(maxsize=64)
+def _branch_maps(two_qubit_depolar: float, single_qubit_depolar: float) -> np.ndarray:
+    """Per-outcome branch maps ``G_o`` of the noisy BSM on (B1, B2).
+
+    Returns ``G`` of shape (4, 2, 2, 2, 2), indexed ``[o, b1, b2, b1', b2']``:
+    the unnormalised state left by true outcome ``o = 2·phase + parity`` is
+    ``Σ G_o[b1 b2, b1' b2'] · ρ[.. b1 b2 .., .. b1' b2' ..]`` over the B1 B2
+    indices of ρ, with B1 B2 traced out.  It folds in, in order, the
+    two-qubit depolarizing Kraus terms on (B1, B2), the CNOT·H rotation of
+    the Bell basis onto the computational basis and, when
+    ``single_qubit_depolar`` is positive, the single-qubit depolarizing on
+    B1.  Only the diagonal of B1 is measured, on which that channel's X and
+    Y terms flip the phase bit and its Z term acts trivially, so it mixes
+    each branch with its phase-flipped partner ``o ^ 2`` at weight 2p/3.
+
+    :func:`_swap_kernel` weights these maps with readout and frames, and
+    :func:`_bsm_kernel` spreads them over A and C; both are real because
+    every entry of ``G`` is (see :func:`_swap_kernel`).  Read-only.
+    """
+    rotate = np.kron(H, I2) @ CNOT
+    kraus = np.asarray(two_qubit_depolarizing_kraus(two_qubit_depolar))
+    # rows[k, o, b] = ⟨o| (H⊗I)·CNOT·K_k |b⟩ on the B1 B2 register; outcome o
+    # keeps only that row, so the branch of outcome o acts on ρ's B1 B2
+    # indices as G_o[b, b'] = Σ_k rows[k, o, b] · conj(rows[k, o, b']).
+    rows = rotate @ kraus
+    branch = np.einsum("kob,koc->obc", rows, rows.conj())
+    if single_qubit_depolar > 0:
+        mix = 2.0 * single_qubit_depolar / 3.0
+        branch = (1.0 - mix) * branch + mix * branch[[2, 3, 0, 1]]
+    branch = branch.reshape(4, 2, 2, 2, 2)
+    branch.setflags(write=False)
+    return branch
+
+
+@lru_cache(maxsize=64)
 def _swap_kernel(ops: NoisyOpParams) -> np.ndarray:
     """Bilinear kernel of :func:`averaged_swap_dm` for one noise setting.
 
     Returns ``K`` of shape (256, 16) with ``vec(ρ_AC) = (K·vec(ρ_B2C))
     reshaped (16, 16) · vec(ρ_AB1)`` (row-major ``vec``).  It folds in, in
-    order: the two-qubit depolarizing Kraus terms on (B1, B2), the CNOT·H
-    rotation of the Bell basis onto the computational basis, the four
-    outcome projectors with the trace over B1 B2, the readout mislabel
-    weights and the Pauli frame each reported outcome applies to C.
+    order: the branch maps :func:`_branch_maps` of the noisy BSM on
+    (B1, B2), the readout mislabel weights and the Pauli frame each
+    reported outcome applies to C.
 
     ``K`` is exactly real: the depolarizing Kraus terms are each purely real
     or purely imaginary, so every ``K_k ρ K_k†`` term of the branch maps is
     real, and CNOT·H, the projectors and the frames I, X, Z, XZ are real.
     It is returned as read-only ``float64``.
     """
-    rotate = np.kron(H, I2) @ CNOT
-    kraus = np.asarray(two_qubit_depolarizing_kraus(ops.two_qubit_depolar_prob))
-    # rows[k, o, b] = ⟨o| (H⊗I)·CNOT·K_k |b⟩ on the B1 B2 register; outcome o
-    # keeps only that row, so the branch of outcome o acts on ρ's B1 B2
-    # indices as G_o[b, b'] = Σ_k rows[k, o, b] · conj(rows[k, o, b']).
-    rows = rotate @ kraus
-    branch = np.einsum("kob,koc->obc", rows, rows.conj()).reshape(4, 2, 2, 2, 2)
+    branch = _branch_maps(ops.two_qubit_depolar_prob, ops.single_qubit_depolar_prob)
     # Frame correction F_r = I⊗P_r on C: (F† ρ F)[ac, a'c'] =
     # Σ conj(P_r[d, c]) ρ[ad, a'd'] P_r[d', c'].
     paulis = np.asarray(PAULI_FRAME)
@@ -294,7 +396,27 @@ def _swap_kernel(ops: NoisyOpParams) -> np.ndarray:
     # A passes straight through: spread it with identities into the
     # (ρ_AC, ρ_AB1, ρ_B2C) index layout [a c a' c'][a b1 a' b1'][b2 d b2' d'].
     kernel = np.einsum("ae,gh,cCxXyYdD->acgCexhXydYD", I2, I2, core)
-    kernel = kernel.reshape(256, 16)
+    return _real_kernel(kernel.reshape(256, 16))
+
+
+@lru_cache(maxsize=64)
+def _bsm_kernel(ops: NoisyOpParams) -> np.ndarray:
+    """Kernel of :func:`_kernel_swap_measure` for one noise setting.
+
+    Returns ``K`` of shape (64, 256): ``K · vec(vec(ρ_AB1) ⊗ vec(ρ_B2C))``
+    holds the four unnormalised A-C branches, row index ``[o a c a' c']``
+    against column index ``[a b1 a' b1'][b2 c b2' c']`` (row-major
+    ``vec``).  It is :func:`_branch_maps` with identities on A and C.
+    Read-only ``float64``, so the contraction against the complex joint
+    vector, seen as ``(256, 2)`` real, is one real product.
+    """
+    branch = _branch_maps(ops.two_qubit_depolar_prob, ops.single_qubit_depolar_prob)
+    kernel = np.einsum("ae,gh,cd,CD,oxyXY->oacgCexhXydYD", I2, I2, I2, I2, branch)
+    return _real_kernel(kernel.reshape(64, 256))
+
+
+def _real_kernel(kernel: np.ndarray) -> np.ndarray:
+    """The real part of an exactly real complex kernel, contiguous and read-only."""
     assert not kernel.imag.any(), "swap kernel must be real"
     kernel = np.ascontiguousarray(kernel.real)
     kernel.setflags(write=False)

@@ -9,8 +9,13 @@ The engine is exact.  Every gate and channel is applied the same way: one
 contraction of its superoperator (``Σ K ⊗ K*``, see
 :func:`~repro.quantum.gates.superoperator`) into the targeted row and column
 axes of the 2^n × 2^n density matrix.  A Z measurement is a slice of that
-matrix.  In this system ``n`` never exceeds 4 (two entangled pairs merged
-for an entanglement swap), so everything stays tiny and fast.
+matrix.  In this system ``n`` never exceeds 4, so everything stays tiny and
+fast.  Four qubits arise when two pairs are merged on the exact engine's
+general path: a swap involving a shared state, a state of three or more
+qubits or a promoted Bell pair, or a two-qubit gate across two pairs
+(DEJMPS).  A swap of two separate 2-qubit density matrices never merges
+them: :func:`~repro.quantum.operations.bell_state_measurement` reads the
+two matrices into one bilinear kernel product instead.
 """
 
 from __future__ import annotations
@@ -25,6 +30,12 @@ from .gates import PAULI_FRAME_SUPEROPS, superoperator
 from .qubit import Qubit
 
 _TOL = 1e-9
+
+#: Row-major ``vec`` positions of a two-qubit density matrix with its two
+#: qubits swapped: ``dm.reshape(16)[SWAPPED_PAIR]`` is ``dm`` in the other
+#: qubit order, moved entry for entry.
+SWAPPED_PAIR = np.arange(16).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(16)
+SWAPPED_PAIR.setflags(write=False)
 
 
 class QState:

@@ -21,13 +21,12 @@ The DEJMPS recipe (Deutsch et al.) for pairs in the Φ+ frame:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ..quantum.bell import BellIndex
 from ..quantum.bellstate import bell_pair_of, dejmps_measure
-from ..quantum.gates import CNOT, rx
+from ..quantum.gates import CNOT_SUPEROP, RX_MINUS_SUPEROP, RX_PLUS_SUPEROP
 from ..quantum.operations import (
     NoisyOpParams,
     PERFECT_OPS,
@@ -70,14 +69,12 @@ def dejmps_round(pair_one: tuple[Qubit, Qubit], pair_two: tuple[Qubit, Qubit],
     if keep is not None and sacrifice is not None:
         outcome_a, outcome_b = dejmps_measure(keep, sacrifice, rng, ops)
     else:
-        plus = rx(math.pi / 2)
-        minus = rx(-math.pi / 2)
-        apply_gate(keep_a, plus, ops)
-        apply_gate(sac_a, plus, ops)
-        apply_gate(keep_b, minus, ops)
-        apply_gate(sac_b, minus, ops)
-        apply_two_qubit_gate(keep_a, sac_a, CNOT, ops)
-        apply_two_qubit_gate(keep_b, sac_b, CNOT, ops)
+        apply_gate(keep_a, RX_PLUS_SUPEROP, ops)
+        apply_gate(sac_a, RX_PLUS_SUPEROP, ops)
+        apply_gate(keep_b, RX_MINUS_SUPEROP, ops)
+        apply_gate(sac_b, RX_MINUS_SUPEROP, ops)
+        apply_two_qubit_gate(keep_a, sac_a, CNOT_SUPEROP, ops)
+        apply_two_qubit_gate(keep_b, sac_b, CNOT_SUPEROP, ops)
         outcome_a = measure_qubit(sac_a, rng, "Z", ops)
         outcome_b = measure_qubit(sac_b, rng, "Z", ops)
     success = outcome_a == outcome_b

@@ -37,7 +37,9 @@ from repro.quantum import (
     two_qubit_depolarizing_kraus,
     werner_dm,
     CNOT,
+    depolarizing_kraus,
 )
+from repro.quantum import fidelity, operations
 
 
 def test_create_pair_holds_given_dm():
@@ -282,9 +284,10 @@ def reference_averaged_swap_dm(rho_ab, rho_bc, ops):
     :func:`averaged_swap_dm`'s precomputed kernel is pinned against.
 
     Builds the joint 4-qubit state (A, B1, B2, C), applies the noisy BSM on
-    (B1, B2), projects onto each outcome, traces B1 B2 out and averages
-    the A-C branches over reported outcomes, each rotated back to Φ+ by the
-    frame its reported outcome implies.
+    (B1, B2) with the single-qubit depolarizing on B1, projects onto each
+    outcome, traces B1 B2 out and averages the A-C branches over reported
+    outcomes, each rotated back to Φ+ by the frame its reported outcome
+    implies.
     """
     qubits = [Qubit(str(i)) for i in range(4)]
     state = QState(np.kron(rho_ab, rho_bc), qubits)
@@ -293,6 +296,9 @@ def reference_averaged_swap_dm(rho_ab, rho_bc, ops):
                             [qubits[1], qubits[2]])
     state.apply_unitary(CNOT, [qubits[1], qubits[2]])
     state.apply_unitary(H, [qubits[1]])
+    if ops.single_qubit_depolar_prob > 0:
+        state.apply_channel(depolarizing_kraus(ops.single_qubit_depolar_prob),
+                            [qubits[1]])
 
     def report_probability(outcome, reported):
         prob = 1.0
@@ -330,11 +336,14 @@ def _density_matrix(entries):
 
 
 _entries = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
+_gate_fidelity = st.one_of(st.just(1.0), st.floats(0.7, 1.0))
+_readout_error = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
 _noise = st.builds(
     NoisyOpParams,
-    two_qubit_gate_fidelity=st.one_of(st.just(1.0), st.floats(0.7, 1.0)),
-    readout_error0=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
-    readout_error1=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    two_qubit_gate_fidelity=_gate_fidelity,
+    single_qubit_gate_fidelity=_gate_fidelity,
+    readout_error0=_readout_error,
+    readout_error1=_readout_error,
 )
 
 
@@ -344,6 +353,124 @@ def test_averaged_swap_dm_matches_qstate_reference(entries_ab, entries_bc, ops):
     rho_ab, rho_bc = _density_matrix(entries_ab), _density_matrix(entries_bc)
     expected = reference_averaged_swap_dm(rho_ab, rho_bc, ops)
     assert np.abs(averaged_swap_dm(rho_ab, rho_bc, ops) - expected).max() <= 1e-12
+
+
+def _swap_inputs(rho_ab, rho_bc, b1_first, c_first):
+    """Qubits (A, B1, B2, C) on two separate 2-qubit states holding
+    ``rho_ab`` over (A, B1) and ``rho_bc`` over (B2, C), each stored in the
+    drawn qubit order."""
+    a, b1, b2, c = (Qubit(name) for name in ("A", "B1", "B2", "C"))
+    swapped = lambda rho: rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    QState(swapped(rho_ab) if b1_first else rho_ab, [b1, a] if b1_first else [a, b1])
+    QState(swapped(rho_bc) if c_first else rho_bc, [c, b2] if c_first else [b2, c])
+    return a, b1, b2, c
+
+
+def _merged_measurement(b1, b2, rng, ops):
+    """The BSM on the exact engine's general path: the two states merged
+    into one 4-qubit state first, as the merge inside the BSM would."""
+    QState.merge(b1.state, b2.state)
+    return bell_state_measurement(b1, b2, rng, ops)
+
+
+def _full_rank_dm(seed, purity):
+    """A random full-rank 2-qubit dm: a random pure state at weight
+    ``purity`` over a Ginibre dm, so its reduced states are far from I/2
+    and the four swap outcomes far from equally likely."""
+    rng = np.random.default_rng(seed)
+    vector = rng.normal(size=4) + 1j * rng.normal(size=4)
+    vector /= np.linalg.norm(vector)
+    return purity * np.outer(vector, vector.conj()) + (1 - purity) * _random_dm(rng, 2)
+
+
+_full_rank_dms = st.builds(_full_rank_dm, st.integers(0, 2 ** 32 - 1),
+                           st.floats(0.0, 0.99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_full_rank_dms, _full_rank_dms, st.booleans(), st.booleans(), _noise,
+       st.integers(0, 2 ** 32 - 1))
+def test_unmerged_swap_matches_merged_path(rho_ab, rho_bc, b1_first, c_first,
+                                           ops, seed):
+    """Two separate 2-qubit dms swap through the bilinear kernel: same
+    reported outcome, same next draw and the same remote state as merging
+    them and measuring on the exact engine."""
+    a, b1, b2, c = _swap_inputs(rho_ab, rho_bc, b1_first, c_first)
+    rng = random.Random(seed)
+    outcome = bell_state_measurement(b1, b2, rng, ops)
+    kernel_next = rng.random()
+    kernel_state = a.state
+    ref_a, ref_b1, ref_b2, ref_c = _swap_inputs(rho_ab, rho_bc, b1_first, c_first)
+    ref_rng = random.Random(seed)
+    assert outcome == _merged_measurement(ref_b1, ref_b2, ref_rng, ops)
+    assert kernel_next == ref_rng.random()
+    assert kernel_state is c.state and kernel_state.qubits == [a, c]
+    assert ref_a.state.qubits == [ref_a, ref_c]
+    assert b1.state is None and b2.state is None
+    assert np.abs(kernel_state.dm - ref_a.state.dm).max() <= 1e-12
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this configuration must not take this path")
+
+
+def test_separate_dm_pairs_swap_without_merging(monkeypatch):
+    monkeypatch.setattr(QState, "merge", staticmethod(_refuse))
+    a, b1, b2, c = _swap_inputs(werner_dm(0.9), werner_dm(0.8), False, True)
+    outcome = bell_state_measurement(b1, b2, random.Random(1))
+    assert a.state is c.state and a.state.qubits == [a, c]
+    expected = 0.9 * 0.8 + (0.1 * 0.2) / 3
+    assert pair_fidelity(a, c, swap_combine(0, 0, outcome)) == pytest.approx(expected)
+
+
+def _random_state(rng, qubits):
+    return QState(_random_dm(rng, len(qubits)), qubits)
+
+
+@pytest.mark.parametrize("layout", ["shared", "three_qubits", "bell_with_dm"])
+def test_other_configurations_take_the_merged_path(monkeypatch, layout):
+    monkeypatch.setattr(operations, "_kernel_swap_measure", _refuse)
+    rng = np.random.default_rng(7)
+    a, b1, b2, c, x = (Qubit(name) for name in ("A", "B1", "B2", "C", "X"))
+    if layout == "shared":
+        _random_state(rng, [a, b1, b2, c])
+    elif layout == "three_qubits":
+        _random_state(rng, [a, x, b1])
+        _random_state(rng, [b2, c])
+    else:
+        a, b1 = get_backend("bell").create_pair_from_weights([0.85, 0.07, 0.05, 0.03])
+        _random_state(rng, [b2, c])
+    bell_state_measurement(b1, b2, random.Random(3), NoisyOpParams(0.95, 0.97, 0.1, 0.2))
+    assert b1.state is None and b2.state is None
+    assert a.state is c.state and a.state.is_valid()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_entries, st.booleans())
+def test_pair_fidelity_reads_the_pair_dm_exactly(entries, reversed_order):
+    """A pair that is its whole state is read without a partial trace, bit
+    for bit the dm ``reduced_dm`` gives, in either qubit order."""
+    qa, qb = create_pair(_density_matrix(entries))
+    if reversed_order:
+        qa, qb = qb, qa
+    read = []
+    original = fidelity.bell_fidelity
+
+    def recording(dm, bell_index=0):
+        read.append(dm)
+        return original(dm, bell_index)
+
+    fidelity.bell_fidelity = recording
+    try:
+        for bell_index in range(4):
+            pair_fidelity(qa, qb, bell_index)
+    finally:
+        fidelity.bell_fidelity = original
+    expected = qa.state.reduced_dm([qa, qb])
+    assert len(read) == 4
+    for dm in read:
+        assert dm.dtype == expected.dtype and dm.shape == expected.shape
+        assert dm.tobytes() == expected.tobytes()
 
 
 def test_teleportation_moves_arbitrary_state():

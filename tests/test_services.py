@@ -24,7 +24,14 @@ from repro.quantum import (
 )
 from repro.quantum.backends import get_backend
 from repro.quantum.bellstate import create_bell_diagonal_pair, dejmps_joint
-from repro.quantum.operations import PERFECT_OPS
+from repro.quantum import channels, gates, operations, states
+from repro.quantum.gates import CNOT, rx
+from repro.quantum.operations import (
+    PERFECT_OPS,
+    apply_gate,
+    apply_two_qubit_gate,
+    measure_qubit,
+)
 from repro.services import (
     DistillationModule,
     dejmps_round,
@@ -238,6 +245,60 @@ class TestDejmpsClosedForm:
         for keep_a, keep_b in module.distilled:
             assert isinstance(keep_a.state, BellPairState)
             assert keep_a.state is keep_b.state
+
+
+def _random_pair(rng):
+    """A full-rank 2-qubit dm pair, so every outcome has weight."""
+    ginibre = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = ginibre @ ginibre.conj().T
+    return create_pair(rho / np.trace(rho))
+
+
+class TestDejmpsOnDensityMatrices:
+    OPS = NoisyOpParams(two_qubit_gate_fidelity=0.97, single_qubit_gate_fidelity=0.99,
+                        readout_error0=0.02, readout_error1=0.03)
+
+    @staticmethod
+    def _gate_by_gate(pair_one, pair_two, rng, ops):
+        """DEJMPS with every gate's superoperator built from its unitary."""
+        (keep_a, keep_b), (sac_a, sac_b) = pair_one, pair_two
+        for qubit, theta in ((keep_a, np.pi / 2), (sac_a, np.pi / 2),
+                             (keep_b, -np.pi / 2), (sac_b, -np.pi / 2)):
+            apply_gate(qubit, rx(theta), ops)
+        apply_two_qubit_gate(keep_a, sac_a, CNOT, ops)
+        apply_two_qubit_gate(keep_b, sac_b, CNOT, ops)
+        return measure_qubit(sac_a, rng, "Z", ops), measure_qubit(sac_b, rng, "Z", ops)
+
+    def test_round_builds_no_superoperator(self, monkeypatch):
+        """The rotations and CNOT use prebuilt superoperators, with outputs
+        identical bit for bit to building each from its unitary."""
+        # Fill the memoized noise channels' superoperators first.
+        dejmps_round(_random_pair(np.random.default_rng(0)),
+                     _random_pair(np.random.default_rng(1)), random.Random(0), self.OPS)
+        built = []
+
+        def counting(*ops):
+            built.append(ops)
+            return gates.superoperator(*ops)
+
+        for module in (channels, operations, states):
+            monkeypatch.setattr(module, "superoperator", counting)
+        for seed in range(8):
+            source = np.random.default_rng(seed)
+            pair_one, pair_two = _random_pair(source), _random_pair(source)
+            outcome = dejmps_round(pair_one, pair_two, random.Random(seed), self.OPS)
+            assert built == []
+            source = np.random.default_rng(seed)
+            ref_one, ref_two = _random_pair(source), _random_pair(source)
+            reference = self._gate_by_gate(ref_one, ref_two, random.Random(seed),
+                                           self.OPS)
+            assert (outcome.outcome_a, outcome.outcome_b) == reference
+            built.clear()
+            if outcome.success:
+                kept = outcome.keep_a.state
+                assert kept.qubits == [outcome.keep_a, outcome.keep_b]
+                assert ref_one[0].state.qubits == list(ref_one)
+                assert kept.dm.tobytes() == ref_one[0].state.dm.tobytes()
 
 
 def _state_error_rates(qubit_a, qubit_b, bell_index: int):
