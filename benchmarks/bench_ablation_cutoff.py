@@ -38,11 +38,11 @@ def run_variant(cutoff, oracle_threshold, seed=4) -> dict:
     circuit_id = net.establish_circuit_manual(
         ["node0", "node1", "node2"], link_fidelity=LINK_FIDELITY,
         cutoff=cutoff, max_eer=200.0, estimated_fidelity=TARGET)
-    handle = net.submit(circuit_id, UserRequest(num_pairs=10 ** 6),
-                        oracle_min_fidelity=oracle_threshold,
-                        record_fidelity=True)
+    matched = []
+    net.submit(circuit_id, UserRequest(num_pairs=10 ** 6),
+               oracle_min_fidelity=oracle_threshold,
+               on_matched=matched.append)
     net.run(until_s=net.sim.now / 1e9 + SIM_SECONDS)
-    matched = handle.matched_pairs
     fidelities = [m.fidelity for m in matched]
     useful = sum(1 for m in matched if m.fidelity >= TARGET)
     return {

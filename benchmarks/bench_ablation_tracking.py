@@ -31,7 +31,7 @@ def run_variant(blocking: bool, delay_ms: float, seed: int = 5) -> float:
     net.set_message_delay(delay_ms * MS)
     handle = net.submit(circuit_id, UserRequest(num_pairs=10 ** 6))
     net.run(until_s=net.sim.now / 1e9 + SIM_SECONDS)
-    return len(handle.delivered) / SIM_SECONDS
+    return handle.pairs_confirmed / SIM_SECONDS
 
 
 @pytest.fixture(scope="module")

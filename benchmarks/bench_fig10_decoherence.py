@@ -39,49 +39,48 @@ def _build(t2_s: float, seed: int):
     return build_dumbbell_network(seed=seed, params=SIMULATION.with_t2(t2_s * S))
 
 
-def _measure(net, handles) -> dict:
+def _accepted_at(times: list):
+    """An ``on_matched`` consumer noting when each accepted pair arrived."""
+    def note(matched) -> None:
+        if matched.accepted:
+            times.append(matched.head_delivery.t_delivered)
+    return note
+
+
+def _measure(net, accepted: dict) -> dict:
     """Accepted-pair throughput per circuit label in the steady window."""
     net.run(until_s=net.sim.now / 1e9 + SIM_SECONDS)
     window_start = net.sim.now - (SIM_SECONDS - WARMUP_SECONDS) * S
     window_s = SIM_SECONDS - WARMUP_SECONDS
-    out = {}
-    for label, handle in handles.items():
-        count = sum(1 for matched in handle.matched_pairs
-                    if matched.accepted
-                    and matched.head_delivery.t_delivered >= window_start)
-        out[label] = count / window_s
-    return out
+    return {label: sum(1 for t in times if t >= window_start) / window_s
+            for label, times in accepted.items()}
 
 
 def run_t2_point(t2_s: float, use_cutoff: bool, seed: int = 1) -> dict:
     """Throughput of both circuits at one memory lifetime."""
     net = _build(t2_s, seed)
-    handles = {}
+    accepted = {}
     for label, (head, tail) in (("A0-B0", ("A0", "B0")),
                                 ("A1-B1", ("A1", "B1"))):
         target = FIDELITIES[label]
         try:
             route = net.controller.compute_route(head, tail, target, "loss")
         except RouteError:
-            handles[label] = None
             continue
         if use_cutoff:
             circuit_id = net._install(route, None)
-            handle = net.submit(circuit_id, UserRequest(num_pairs=10 ** 6),
-                                oracle_min_fidelity=target)
         else:
             # Baseline: same link fidelities, no cutoff anywhere; the
             # end-nodes filter with the simulation oracle.
             circuit_id = net.establish_circuit_manual(
                 route.path, route.link_fidelity, cutoff=None,
                 max_eer=route.eer, estimated_fidelity=route.estimated_fidelity)
-            handle = net.submit(circuit_id, UserRequest(num_pairs=10 ** 6),
-                                oracle_min_fidelity=target)
-        handles[label] = handle
-    live = {label: handle for label, handle in handles.items()
-            if handle is not None}
-    measured = _measure(net, live)
-    for label in handles:
+        accepted[label] = []
+        net.submit(circuit_id, UserRequest(num_pairs=10 ** 6),
+                   oracle_min_fidelity=target,
+                   on_matched=_accepted_at(accepted[label]))
+    measured = _measure(net, accepted)
+    for label in FIDELITIES:
         measured.setdefault(label, 0.0)
     return measured
 
@@ -89,17 +88,19 @@ def run_t2_point(t2_s: float, use_cutoff: bool, seed: int = 1) -> dict:
 def run_delay_point(delay_ms: float, seed: int = 1) -> dict:
     """Panel (c): throughput at T2*=1.6 s under injected message delay."""
     net = _build(1.6, seed)
-    handles = {}
+    accepted = {}
     cutoffs = {}
     for label, (head, tail) in (("A0-B0", ("A0", "B0")),
                                 ("A1-B1", ("A1", "B1"))):
         target = FIDELITIES[label]
         circuit_id = net.establish_circuit(head, tail, target, "loss")
         cutoffs[label] = net.route_of(circuit_id).cutoff
-        handles[label] = net.submit(circuit_id, UserRequest(num_pairs=10 ** 6),
-                                    oracle_min_fidelity=target)
+        accepted[label] = []
+        net.submit(circuit_id, UserRequest(num_pairs=10 ** 6),
+                   oracle_min_fidelity=target,
+                   on_matched=_accepted_at(accepted[label]))
     net.set_message_delay(delay_ms * MS)
-    measured = _measure(net, handles)
+    measured = _measure(net, accepted)
     measured["cutoff_ms"] = min(cutoffs.values()) / 1e6
     return measured
 

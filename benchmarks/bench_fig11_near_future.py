@@ -36,15 +36,16 @@ def run_near_term() -> dict:
         max_eer=5.0,
         estimated_fidelity=0.55,
     )
+    matched = []
     handle = net.submit(circuit_id, UserRequest(num_pairs=NUM_PAIRS),
-                        record_fidelity=True)
+                        on_matched=matched.append)
     net.run_until_complete([handle], timeout_s=TIMEOUT_S)
     arrivals = sorted((m.head_delivery.t_delivered / 1e9, m.fidelity)
-                      for m in handle.matched_pairs)
+                      for m in matched)
     return {
         "status": handle.status,
         "arrivals": arrivals,
-        "delivered": len(handle.delivered),
+        "delivered": handle.pairs_confirmed,
     }
 
 

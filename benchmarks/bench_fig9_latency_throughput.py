@@ -40,10 +40,13 @@ def run_point(interval_ms: float, congested: bool, seed: int = 1) -> tuple:
         net.submit(a1b1, UserRequest(num_pairs=10 ** 6))
 
     handles = []
+    delivered_at = []
 
     def submit_one():
-        handles.append((net.sim.now, net.submit(
-            a0b0, UserRequest(num_pairs=PAIRS_PER_REQUEST))))
+        handle = net.submit(a0b0, UserRequest(num_pairs=PAIRS_PER_REQUEST))
+        handle.on_delivery(lambda delivery: delivered_at.append(
+            delivery.t_delivered))
+        handles.append((net.sim.now, handle))
         if net.sim.now < SIM_SECONDS * S:
             net.sim.schedule(interval_ms * MS, submit_one)
 
@@ -52,11 +55,8 @@ def run_point(interval_ms: float, congested: bool, seed: int = 1) -> tuple:
 
     window_start = WARMUP_SECONDS * S
     latencies = []
-    deliveries = []
+    deliveries = [t for t in delivered_at if t >= window_start]
     for submitted_at, handle in handles:
-        for delivery in handle.delivered:
-            if delivery.t_delivered >= window_start:
-                deliveries.append(delivery.t_delivered)
         if submitted_at < window_start or handle.latency is None:
             continue
         latencies.append(handle.latency / 1e6)

@@ -21,23 +21,26 @@ from repro.services import DistillationModule, theoretical_dejmps_fidelity
 def main() -> None:
     net = build_chain_network(num_nodes=3, seed=13)
     circuit_id = net.establish_circuit("node0", "node2", target_fidelity=0.8)
+    # Keep both halves of every pair seen at both ends (a truthy return
+    # takes the qubits over from the network façade).
+    matched_pairs = []
+
+    def keep(pair) -> bool:
+        matched_pairs.append(pair)
+        return True
+
     handle = net.submit(circuit_id, UserRequest(num_pairs=48),
-                        record_fidelity=False)
+                        on_matched=keep)
     net.run_until_complete([handle], timeout_s=600)
 
-    # Pair up confirmed deliveries from both ends.  Two nested DEJMPS
-    # levels: single-click pairs carry a bit/bit-phase error mix for which
-    # one round is neutral — the second round does the purifying.
-    tail_by_pair = {d.pair_id: d for d in handle.tail_deliveries}
+    # Distil in delivery order.  Two nested DEJMPS levels: single-click
+    # pairs carry a bit/bit-phase error mix for which one round is
+    # neutral — the second round does the purifying.
     module = DistillationModule(net.sim.rng, levels=2)
     raw_fidelities = []
-    for head_delivery in handle.delivered:
-        tail_delivery = tail_by_pair.get(head_delivery.pair_id)
-        if tail_delivery is None or head_delivery.qubit is None:
-            continue
-        raw_fidelities.append(pair_fidelity(
-            head_delivery.qubit, tail_delivery.qubit,
-            int(head_delivery.bell_state)))
+    for pair in sorted(matched_pairs, key=lambda m: m.head_delivery.sequence):
+        head_delivery, tail_delivery = pair.head_delivery, pair.tail_delivery
+        raw_fidelities.append(pair.fidelity)
         module.absorb(head_delivery.qubit, tail_delivery.qubit,
                       head_delivery.bell_state)
 

@@ -34,20 +34,21 @@ def main() -> None:
         max_eer=5.0,
         estimated_fidelity=0.55,
     )
+    matched_pairs = []
     handle = net.submit(circuit_id, UserRequest(num_pairs=10),
-                        record_fidelity=True)
+                        on_matched=matched_pairs.append)
     net.run_until_complete([handle], timeout_s=600)
 
     print(f"request status: {handle.status.value}, "
-          f"{len(handle.delivered)} pairs delivered")
+          f"{handle.pairs_confirmed} pairs delivered")
     print(f"{'pair':>4}  {'arrival (s)':>11}  {'fidelity':>8}")
-    for matched in sorted(handle.matched_pairs,
+    for matched in sorted(matched_pairs,
                           key=lambda m: m.head_delivery.t_delivered):
         head = matched.head_delivery
         print(f"{head.sequence:>4}  {head.t_delivered / 1e9:>11.1f}  "
               f"{matched.fidelity:>8.3f}")
-    witnesses = sum(1 for m in handle.matched_pairs if m.fidelity > 0.5)
-    print(f"\n{witnesses}/{len(handle.matched_pairs)} pairs above the "
+    witnesses = sum(1 for m in matched_pairs if m.fidelity > 0.5)
+    print(f"\n{witnesses}/{len(matched_pairs)} pairs above the "
           "F=0.5 entanglement witness threshold.")
 
 

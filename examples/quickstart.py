@@ -27,14 +27,15 @@ def main() -> None:
     print(f"  max LPR         : {route.max_lpr:.0f} pairs/s")
     print()
 
+    matched_pairs = []
     handle = net.submit(circuit_id, UserRequest(num_pairs=5),
-                        record_fidelity=True)
+                        on_matched=matched_pairs.append)
     net.run_until_complete([handle], timeout_s=120)
 
     print(f"Request {handle.request_id}: {handle.status.value} "
           f"in {handle.latency / 1e6:.1f} ms")
     print(f"{'pair':>4}  {'Bell state':>10}  {'fidelity':>8}  {'age (ms)':>8}")
-    for matched in handle.matched_pairs:
+    for matched in matched_pairs:
         head = matched.head_delivery
         age_ms = (head.t_delivered - head.t_created) / 1e6
         print(f"{head.sequence:>4}  {str(head.bell_state):>10}  "

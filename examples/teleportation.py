@@ -16,7 +16,6 @@ Run:  python examples/teleportation.py
 import numpy as np
 
 from repro import UserRequest, build_chain_network
-from repro.core import DeliveryStatus
 from repro.quantum import BellIndex, QState, Qubit, ry, teleport
 
 
@@ -34,22 +33,24 @@ def random_state_qubit(rng) -> tuple[Qubit, np.ndarray]:
 def main() -> None:
     net = build_chain_network(num_nodes=3, seed=11)
     circuit_id = net.establish_circuit("node0", "node2", target_fidelity=0.85)
-    handle = net.submit(circuit_id,
-                        UserRequest(num_pairs=5, final_state=BellIndex.PHI_PLUS))
-    net.run_until_complete([handle], timeout_s=180)
+    # Keep both halves of every pair seen at both ends (a truthy return
+    # takes the qubits over from the network façade).
+    matched_pairs = []
 
-    head_pairs = {d.pair_id: d for d in handle.delivered
-                  if d.status == DeliveryStatus.CONFIRMED}
-    tail_pairs = {d.pair_id: d for d in handle.tail_deliveries
-                  if d.status == DeliveryStatus.CONFIRMED}
+    def keep(pair) -> bool:
+        matched_pairs.append(pair)
+        return True
+
+    handle = net.submit(circuit_id,
+                        UserRequest(num_pairs=5, final_state=BellIndex.PHI_PLUS),
+                        on_matched=keep)
+    net.run_until_complete([handle], timeout_s=180)
 
     rng = net.sim.rng
     print("Teleporting random qubits node0 → node2 through delivered pairs\n")
     print(f"{'pair':>4}  {'reported state':>14}  {'teleport fidelity':>17}")
-    for pair_id, head_delivery in head_pairs.items():
-        tail_delivery = tail_pairs.get(pair_id)
-        if tail_delivery is None:
-            continue
+    for pair in sorted(matched_pairs, key=lambda m: m.head_delivery.sequence):
+        head_delivery, tail_delivery = pair.head_delivery, pair.tail_delivery
         data_qubit, ideal = random_state_qubit(rng)
         received = teleport(data_qubit, head_delivery.qubit,
                             tail_delivery.qubit, rng)

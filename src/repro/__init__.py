@@ -23,9 +23,10 @@ Quickstart::
     net = build_chain_network(num_nodes=3, seed=1)
     circuit = net.establish_circuit("node0", "node2", target_fidelity=0.8)
     handle = net.submit(circuit, UserRequest(num_pairs=5))
+    handle.on_delivery(lambda pair: print(pair.bell_state,
+                                          pair.estimated_fidelity))
     net.run(until_s=20)
-    for pair in handle.delivered:
-        print(pair.bell_state, pair.estimated_fidelity)
+    print(handle.pairs_confirmed, "pairs confirmed")
 
 The convenience names below are imported lazily (PEP 562) so that the light
 subpackages (``repro.netsim``, ``repro.quantum``) can be used without paying

@@ -54,16 +54,17 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     print(f"  link fidelity {route.link_fidelity:.4f}, "
           f"cutoff {route.cutoff / 1e6:.2f} ms, "
           f"worst-case F {route.estimated_fidelity:.4f}")
+    matched_pairs = []
     handle = net.submit(circuit_id, UserRequest(num_pairs=args.pairs),
-                        record_fidelity=True)
+                        on_matched=matched_pairs.append)
     net.run_until_complete([handle], timeout_s=args.timeout)
     print(f"  status {handle.status.value}, "
-          f"{len(handle.delivered)} pairs, "
+          f"{handle.pairs_confirmed} pairs, "
           f"latency {(handle.latency or 0) / 1e6:.1f} ms")
-    for matched in handle.matched_pairs:
+    for matched in matched_pairs:
         print(f"    pair {matched.head_delivery.sequence}: "
               f"{matched.head_delivery.bell_state}  F={matched.fidelity:.4f}")
-    return 0 if handle.delivered else 1
+    return 0 if handle.pairs_confirmed else 1
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
@@ -90,15 +91,16 @@ def _cmd_near_term(args: argparse.Namespace) -> int:
     circuit_id = net.establish_circuit_manual(
         ["node0", "node1", "node2"], link_fidelity=0.8, cutoff=3.0 * S,
         max_eer=5.0, estimated_fidelity=0.55)
+    matched_pairs = []
     handle = net.submit(circuit_id, UserRequest(num_pairs=args.pairs),
-                        record_fidelity=True)
+                        on_matched=matched_pairs.append)
     net.run_until_complete([handle], timeout_s=args.timeout)
     print(f"status {handle.status.value}")
-    for matched in sorted(handle.matched_pairs,
+    for matched in sorted(matched_pairs,
                           key=lambda m: m.head_delivery.t_delivered):
         print(f"  t={matched.head_delivery.t_delivered / 1e9:6.1f}s  "
               f"F={matched.fidelity:.3f}")
-    return 0 if handle.delivered else 1
+    return 0 if handle.pairs_confirmed else 1
 
 
 def _parse_apps(text):

@@ -35,6 +35,10 @@ class SymmetricDemultiplexer:
         """Stop assigning pairs to a request (count reached / aborted)."""
         self._finished.add(request_id)
 
+    def is_finished(self, request_id: str) -> bool:
+        """Whether the request gets no more pairs here."""
+        return request_id in self._finished
+
     def eligible_requests(self) -> list[str]:
         """Unfinished requests of the active epoch, in arrival order."""
         return [request_id for request_id in self._epochs.active_requests()

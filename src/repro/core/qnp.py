@@ -55,7 +55,9 @@ class RequestRecord:
     head_end_identifier: int
     tail_end_identifier: int
     delivered: int = 0
-    expired: int = 0
+    #: Pairs assigned to this request and waiting for their TRACK or
+    #: EXPIRE (entries of ``CircuitRuntime.in_transit``).
+    in_flight: int = 0
     #: Head-end only: the caller's handle.
     handle: Optional[RequestHandle] = None
     user_request: Optional[UserRequest] = None
@@ -73,8 +75,13 @@ class CircuitRuntime:
     epochs: EpochManager = field(default_factory=EpochManager)
     demux: SymmetricDemultiplexer = None  # type: ignore[assignment]
     in_transit: dict = field(default_factory=dict)
+    #: Requests this node still needs: not finished, or with a pair in
+    #: flight.  Finished ones leave through ``QNPNode._retire``.
     requests: dict = field(default_factory=dict)
     # Head-end only.
+    #: The ACTIVE requests, in activation order — the submission order,
+    #: since the policer starts queued requests first-in first-out.
+    active: dict = field(default_factory=dict)
     policer: Optional[Policer] = None
     link_request_active: bool = False
 
@@ -103,6 +110,8 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         self._labels: dict[tuple, str] = {}
         self._registered_links: set[str] = set()
         self._apps: dict[int, Callable[[PairDelivery], None]] = {}
+        #: identifier → circuit its application registration serves.
+        self._app_circuits: dict[int, str] = {}
         #: Optional span tracer (see :mod:`repro.analysis.tracing`);
         #: attached by ``attach_tracer``.
         self.trace = None
@@ -151,14 +160,23 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             return
         self._stop_downstream_link(runtime)
         for record in runtime.requests.values():
-            if record.handle is not None and record.handle.status in (
-                    RequestStatus.ACTIVE, RequestStatus.QUEUED):
+            handle = record.handle
+            if handle is None:
+                continue
+            if handle.status in (RequestStatus.ACTIVE, RequestStatus.QUEUED):
                 # Shaped (queued) requests must abort too: their bandwidth
                 # will never free up on a circuit that no longer exists, and
                 # a handle stuck in QUEUED stalls run_until_complete().
-                record.handle.status = RequestStatus.ABORTED
+                handle.status = RequestStatus.ABORTED
                 if runtime.policer is not None:
                     runtime.policer.abort(record.request_id)
+            handle._close()
+        # Nothing more is delivered on this circuit here, including to a
+        # request whose FORWARD never arrived.
+        for identifier in [identifier for identifier, circuit
+                           in self._app_circuits.items()
+                           if circuit == circuit_id]:
+            self._drop_application(identifier)
         # Release every pair still parked for this circuit so its memory
         # slots return to the pool immediately — a management-plane
         # teardown after a link failure must not wait for cutoff timers
@@ -188,10 +206,21 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
     # ------------------------------------------------------------------
 
     def register_application(self, identifier: int,
-                             callback: Callable[[PairDelivery], None]) -> None:
+                             callback: Callable[[PairDelivery], None],
+                             circuit_id: str) -> None:
         """Register the receiver for pairs addressed to an end-point
-        identifier (the locator/identifier scheme of Appendix C.1)."""
+        identifier (the locator/identifier scheme of Appendix C.1).
+
+        An identifier names one request's end-point on ``circuit_id``, so
+        the registration ends with it: when that request retires at this
+        node, or when the circuit is uninstalled here.
+        """
         self._apps[identifier] = callback
+        self._app_circuits[identifier] = circuit_id
+
+    def _drop_application(self, identifier: int) -> None:
+        self._apps.pop(identifier, None)
+        self._app_circuits.pop(identifier, None)
 
     def submit(self, circuit_id: str, request: UserRequest,
                head_end_identifier: int = 0, tail_end_identifier: int = 0,
@@ -227,6 +256,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
                    decision=str(decision))
         if decision == PolicerDecision.REJECT:
             handle.status = RequestStatus.REJECTED
+            handle._close()
             return handle
         runtime.requests[request.request_id] = record
         if decision == PolicerDecision.ACCEPT:
@@ -249,6 +279,8 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             runtime.policer.drop_queued(request_id)
             handle.status = RequestStatus.ABORTED
             del runtime.requests[request_id]
+            self._drop_application(record.head_end_identifier)
+            handle._close()
             return
         if handle is not None and handle.status == RequestStatus.ACTIVE:
             self._head_complete_request(runtime, record)
@@ -261,6 +293,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
                             record: RequestRecord) -> None:
         record.handle.status = RequestStatus.ACTIVE
         record.handle.t_started = self.now
+        runtime.active[record.request_id] = record
         active_ids = self._active_request_ids(runtime)
         epoch = runtime.epochs.create_epoch(active_ids)
         runtime.epochs.activate(epoch)  # head-end is authoritative
@@ -292,6 +325,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             handle.status = RequestStatus.COMPLETED
             handle.t_completed = self.now
             self._emit("REQUEST_DONE", request=record.request_id)
+        runtime.active.pop(record.request_id, None)
         runtime.demux.mark_finished(record.request_id)
         runtime.policer.release(record.request_id)
         active_ids = self._active_request_ids(runtime)
@@ -320,31 +354,39 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             if next_record is None:  # pragma: no cover - defensive
                 continue
             self._head_start_request(runtime, next_record)
+        self._retire(runtime, record)
 
     def _active_request_ids(self, runtime: CircuitRuntime) -> tuple:
         """Active requests in arrival order (the distributed-FIFO order the
-        demultiplexer serves; ``runtime.requests`` preserves insertion)."""
-        return tuple(record.request_id for record in runtime.requests.values()
-                     if record.handle is not None
-                     and record.handle.status == RequestStatus.ACTIVE)
+        demultiplexer serves)."""
+        return tuple(runtime.active)
 
     def _aggregate_rate(self, runtime: CircuitRuntime) -> tuple[float, bool]:
         """Total EER needed by the active requests + rate-based-only flag."""
         total = 0.0
         rate_based_only = True
-        found = False
-        for record in runtime.requests.values():
-            if record.handle is None \
-                    or record.handle.status != RequestStatus.ACTIVE:
-                continue
-            found = True
-            if record.user_request is not None:
-                total += record.user_request.minimum_eer()
-                if not record.user_request.is_rate_based:
-                    rate_based_only = False
-            else:  # pragma: no cover - defensive
+        for record in runtime.active.values():
+            total += record.user_request.minimum_eer()
+            if not record.user_request.is_rate_based:
                 rate_based_only = False
-        return total, (rate_based_only and found)
+        return total, (rate_based_only and bool(runtime.active))
+
+    def _retire(self, runtime: CircuitRuntime, record: RequestRecord) -> None:
+        """Forget a request that is finished here and has no pair in flight.
+
+        No message can reach it any more: the demultiplexer assigns no
+        new pair to a finished request, and every TRACK or EXPIRE for one
+        of its pairs found the pair in ``in_transit``.  So a late message
+        behaves exactly as if the record were still there.
+        """
+        if record.in_flight or not runtime.demux.is_finished(
+                record.request_id):
+            return
+        if runtime.requests.pop(record.request_id, None) is None:
+            return
+        self._drop_application(self._identifier(runtime, record))
+        if record.handle is not None:
+            record.handle._close()
 
     # ------------------------------------------------------------------
     # Link layer management (continuous generation, Sec 4.1)
@@ -465,6 +507,9 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             runtime.demux.mark_finished(complete.request_id)
             if not runtime.demux.eligible_requests():
                 runtime.epochs.activate(complete.epoch)
+            record = runtime.requests.get(complete.request_id)
+            if record is not None:
+                self._retire(runtime, record)
             return
         self._update_downstream_link(runtime, complete.rate,
                                      complete.rate_based_only,
@@ -509,26 +554,19 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
     # Delivery plumbing
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _identifier(runtime: CircuitRuntime, record: RequestRecord) -> int:
+        """The request's end-point identifier at this end of the circuit."""
+        return (record.head_end_identifier
+                if runtime.entry.role == CircuitRole.HEAD
+                else record.tail_end_identifier)
+
     def _deliver(self, runtime: CircuitRuntime, record: RequestRecord,
                  delivery: PairDelivery) -> None:
+        """Hand a delivery, or the status change of an EARLY one, to the
+        caller's handle and to the end-point's application."""
         if record.handle is not None:
             record.handle._notify(delivery)
-        identifier = (record.head_end_identifier
-                      if runtime.entry.role == CircuitRole.HEAD
-                      else record.tail_end_identifier)
-        callback = self._apps.get(identifier)
-        if callback is not None:
-            callback(delivery)
-
-    def _notify_update(self, runtime: CircuitRuntime, record: RequestRecord,
-                       delivery: PairDelivery) -> None:
-        """Status change on an already-delivered EARLY pair."""
-        if record.handle is not None:
-            for listener in list(record.handle._listeners):
-                listener(delivery)
-        identifier = (record.head_end_identifier
-                      if runtime.entry.role == CircuitRole.HEAD
-                      else record.tail_end_identifier)
-        callback = self._apps.get(identifier)
+        callback = self._apps.get(self._identifier(runtime, record))
         if callback is not None:
             callback(delivery)

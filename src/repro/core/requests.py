@@ -133,25 +133,41 @@ class PairDelivery:
 
 
 class RequestHandle:
-    """Caller-side view of a submitted request."""
+    """Caller-side view of a submitted request.
+
+    A handle keeps tallies, never pairs, so a long run holds no per-pair
+    objects:
+
+    * ``pairs_confirmed`` counts the notifications that carry the
+      CONFIRMED status, once per pair: KEEP/MEASURE pairs arrive already
+      confirmed, EARLY pairs arrive PENDING and are counted when tracking
+      confirms them;
+    * ``fidelities`` holds the ground-truth fidelity of each pair matched
+      at both ends, in match order — filled by
+      :meth:`~repro.network.builder.Network.submit` when it records
+      fidelities, empty otherwise.
+
+    To see the pairs themselves, subscribe: :meth:`on_delivery` for the
+    head-end's deliveries, or ``on_matched`` of
+    :meth:`~repro.network.builder.Network.submit` for each pair seen at
+    both ends.  The head-end drops the listeners once the request is
+    over there (finished, and none of its pairs still in flight); no
+    delivery can reach the handle after that, and a late
+    :meth:`on_delivery` is ignored.
+    """
 
     def __init__(self, request: UserRequest, estimated_fidelity: float = 0.0):
         self.request = request
         self.status = RequestStatus.QUEUED
-        self.delivered: list[PairDelivery] = []
         self.expired_count = 0
         self.t_submitted: float = 0.0
         self.t_started: Optional[float] = None
         self.t_completed: Optional[float] = None
         self.estimated_fidelity = estimated_fidelity
-        #: Evaluation-side records that
-        #: :meth:`~repro.network.builder.Network.submit` fills: every
-        #: delivery seen at the tail end, and every pair matched at both
-        #: ends (:class:`~repro.network.builder.MatchedPair`).  They stay
-        #: empty for a handle that never reached a network.
-        self.tail_deliveries: list[PairDelivery] = []
-        self.matched_pairs: list = []
-        self._listeners: list = []
+        self.pairs_confirmed = 0
+        self.fidelities: list[float] = []
+        #: ``None`` once the head-end has closed the handle.
+        self._listeners: Optional[list] = []
 
     @property
     def request_id(self) -> str:
@@ -165,10 +181,18 @@ class RequestHandle:
         return self.t_completed - self.t_submitted
 
     def on_delivery(self, callback) -> None:
-        """Register a callback invoked with each :class:`PairDelivery`."""
-        self._listeners.append(callback)
+        """Register a callback invoked with each :class:`PairDelivery`
+        notification: every delivery, and every later status change of
+        an EARLY one (the same object, CONFIRMED or EXPIRED)."""
+        if self._listeners is not None:
+            self._listeners.append(callback)
 
     def _notify(self, delivery: PairDelivery) -> None:
-        self.delivered.append(delivery)
-        for listener in list(self._listeners):
+        if delivery.status is DeliveryStatus.CONFIRMED:
+            self.pairs_confirmed += 1
+        for listener in tuple(self._listeners or ()):
             listener(delivery)
+
+    def _close(self) -> None:
+        """Drop the listeners: nothing will be delivered any more."""
+        self._listeners = None

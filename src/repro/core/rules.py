@@ -79,6 +79,7 @@ class EndNodeRules:
             self.node.qmm.free(delivery.entanglement_id)
             self._deliver(runtime, record, early)
         runtime.in_transit[delivery.entanglement_id] = state
+        record.in_flight += 1
 
         is_head = runtime.entry.role == CircuitRole.HEAD
         track = Track(
@@ -113,22 +114,25 @@ class EndNodeRules:
             self.expires_sent += 1
             self._send_circuit_message(runtime, expire.direction, expire)
             return
+        # A pair in flight keeps its request's record (see QNPNode._retire).
+        record = runtime.requests[state.request_id]
+        record.in_flight -= 1
         if not runtime.demux.cross_check(state.request_id, track.request_id):
             # Window condition (Sec 4.1 "Aggregation"): ends disagree on the
             # assignment — discard the pair.
-            self._drop_end_pair(runtime, state, notify_expired=True)
-            return
-        record = runtime.requests.get(state.request_id)
-        if record is None:  # pragma: no cover - defensive
-            self._drop_end_pair(runtime, state, notify_expired=False)
-            return
-        if record.number_of_pairs is not None \
+            self._drop_end_pair(runtime, record, state, notify_expired=True)
+        elif record.number_of_pairs is not None \
                 and record.delivered >= record.number_of_pairs:
             # The request filled while this pair was in flight: drop the
             # excess (the demux already stopped assigning to it).
-            self._drop_end_pair(runtime, state, notify_expired=False)
-            return
+            self._drop_end_pair(runtime, record, state, notify_expired=False)
+        else:
+            self._end_node_confirm(runtime, record, state, track)
+        self._retire(runtime, record)
 
+    def _end_node_confirm(self, runtime, record, state: EndPairState,
+                          track: Track) -> None:
+        """Deliver a tracked pair (or its outcome) and count it."""
         # Entangled pair identifier (Sec 3.2): both ends know their own
         # correlator and the other end's TRACK origin, so the sorted pair of
         # the two is a shared, unique end-to-end pair ID.
@@ -161,7 +165,7 @@ class EndNodeRules:
             early.status = DeliveryStatus.CONFIRMED
             early.bell_state = final_frame
             early.pair_id = pair_id
-            self._notify_update(runtime, record, early)
+            self._deliver(runtime, record, early)
         else:  # KEEP
             delivery = PairDelivery(
                 request_id=record.request_id,
@@ -199,24 +203,24 @@ class EndNodeRules:
         state = runtime.in_transit.pop(expire.origin_correlator, None)
         if state is None:
             return
-        self._drop_end_pair(runtime, state, notify_expired=True)
+        record = runtime.requests[state.request_id]
+        record.in_flight -= 1
+        self._drop_end_pair(runtime, record, state, notify_expired=True)
+        self._retire(runtime, record)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
-    def _drop_end_pair(self, runtime, state: EndPairState,
+    def _drop_end_pair(self, runtime, record, state: EndPairState,
                        notify_expired: bool) -> None:
         """Discard an end-node pair after EXPIRE or a failed cross-check."""
-        record = runtime.requests.get(state.request_id)
         if state.qubit is not None:
             self.node.device.discard(state.qubit)
             self.node.qmm.free(state.correlator)
-        if record is not None:
-            record.expired += 1
-            if notify_expired and state.early_delivery is not None:
-                state.early_delivery.status = DeliveryStatus.EXPIRED
-                self._notify_update(runtime, record, state.early_delivery)
+        if notify_expired and state.early_delivery is not None:
+            state.early_delivery.status = DeliveryStatus.EXPIRED
+            self._deliver(runtime, record, state.early_delivery)
         self.pairs_expired += 1
 
     def _discard_local_pair(self, correlator: tuple) -> None:

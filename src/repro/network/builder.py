@@ -66,12 +66,18 @@ class MatchedPair:
 
 @dataclass
 class _Submission:
+    """The façade's state for one request, alive while pairs can still
+    arrive: the head handle's listener and the tail's application
+    registration are its only owners, and both end with the request."""
+
     handle: RequestHandle
     oracle_min_fidelity: Optional[float] = None
     record_fidelity: bool = False
     #: Evaluation-side consumer invoked with each :class:`MatchedPair`
     #: (application services); a truthy return takes qubit ownership.
     on_matched: Optional[object] = None
+    #: Invoked with every notification the tail end-point receives.
+    on_tail_delivery: Optional[object] = None
     _pending: dict = field(default_factory=dict)
 
 
@@ -512,20 +518,24 @@ class Network:
     def submit(self, circuit_id: str, request: UserRequest,
                oracle_min_fidelity: Optional[float] = None,
                record_fidelity: bool = False,
-               on_matched=None) -> RequestHandle:
+               on_matched=None, on_tail_delivery=None) -> RequestHandle:
         """Submit a request at a circuit's head-end.
 
         ``record_fidelity`` matches head/tail deliveries and reads the
-        ground-truth pair fidelity from the simulation; this is for
-        evaluation only (the network cannot do it).  ``oracle_min_fidelity``
-        additionally marks pairs below the threshold as rejected — the
-        "simpler protocol" baseline of Fig 10.  ``on_matched`` registers an
+        ground-truth pair fidelity from the simulation into the handle's
+        ``fidelities``; this is for evaluation only (the network cannot
+        do it).  ``oracle_min_fidelity`` additionally marks pairs below
+        the threshold as rejected — the "simpler protocol" baseline of
+        Fig 10.  ``on_matched`` registers an
         application-service consumer: it is called with each
         :class:`MatchedPair` the moment both halves were seen (fidelity
         already recorded), and a truthy return means the consumer took
         ownership of the pair's qubits — the façade then skips its own
-        state cleanup for that pair.  A request without an identifier is
-        named ``req<N>`` from this network's simulator.
+        state cleanup for that pair.  ``on_tail_delivery`` is the tail
+        end-point's counterpart of :meth:`RequestHandle.on_delivery`: it
+        sees every delivery and status change at the tail.  A request
+        without an identifier is named ``req<N>`` from this network's
+        simulator.
         """
         route = self.route_of(circuit_id)
         head, tail = route.path[0], route.path[-1]
@@ -540,23 +550,27 @@ class Network:
                               circuit=circuit_id)
         head_id = self._next_identifier()
         tail_id = self._next_identifier()
+        handle = self.qnps[head].submit(circuit_id, request,
+                                        head_end_identifier=head_id,
+                                        tail_end_identifier=tail_id)
+        decision = self._c_policer.get(handle.status)
+        if decision is not None:
+            decision.inc()
+        if handle.status == RequestStatus.REJECTED:
+            return handle
         submission = _Submission(
-            handle=None,  # type: ignore[arg-type]
+            handle=handle,
             oracle_min_fidelity=oracle_min_fidelity,
             record_fidelity=(record_fidelity
                              or oracle_min_fidelity is not None
                              or on_matched is not None),
             on_matched=on_matched,
+            on_tail_delivery=on_tail_delivery,
         )
+        # Pairs reach the tail only after the FORWARD crosses the circuit,
+        # so registering after the head-end submission misses none.
         self.qnps[tail].register_application(
-            tail_id, partial(self._on_tail_delivery, submission))
-        handle = self.qnps[head].submit(circuit_id, request,
-                                        head_end_identifier=head_id,
-                                        tail_end_identifier=tail_id)
-        submission.handle = handle
-        decision = self._c_policer.get(handle.status)
-        if decision is not None:
-            decision.inc()
+            tail_id, partial(self._on_tail_delivery, submission), circuit_id)
         handle.on_delivery(partial(self._on_head_delivery, submission))
         return handle
 
@@ -572,7 +586,8 @@ class Network:
 
     def _on_tail_delivery(self, submission: _Submission,
                           delivery: PairDelivery) -> None:
-        submission.handle.tail_deliveries.append(delivery)
+        if submission.on_tail_delivery is not None:
+            submission.on_tail_delivery(delivery)
         if delivery.status != DeliveryStatus.CONFIRMED:
             return
         self._match(submission, delivery, is_head=False)
@@ -612,7 +627,8 @@ class Network:
             # heavy traffic a cutoff discard can race the delivery match,
             # so either half may already be stateless.
             discard(head_delivery.qubit, tail_delivery.qubit)
-        submission.handle.matched_pairs.append(matched)
+        if matched.fidelity is not None:
+            submission.handle.fidelities.append(matched.fidelity)
 
     # ------------------------------------------------------------------
     # Simulation driving and knobs

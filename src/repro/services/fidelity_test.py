@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from ..core.requests import DeliveryStatus, RequestType, UserRequest
+from ..core.requests import RequestType, UserRequest
 
 
 @dataclass
@@ -56,28 +57,24 @@ def run_test_rounds(net, circuit_id: str, rounds_per_basis: int,
                     timeout_s: float = 600.0) -> FidelityEstimate:
     """Consume ``2 × rounds_per_basis`` pairs as fidelity test rounds."""
     results = {"Z": [0, 0], "X": [0, 0]}  # basis → [errors, rounds]
-    handles = []
-    for basis in ("Z", "X"):
-        handle = net.submit(circuit_id,
-                            UserRequest(num_pairs=rounds_per_basis,
-                                        request_type=RequestType.MEASURE,
-                                        measure_basis=basis))
-        handles.append((basis, handle))
-    net.run_until_complete([h for _, h in handles], timeout_s=timeout_s)
-    for basis, handle in handles:
-        tail_by_pair = {d.pair_id: d for d in handle.tail_deliveries
-                        if d.status == DeliveryStatus.CONFIRMED}
-        for head_delivery in handle.delivered:
-            if head_delivery.status != DeliveryStatus.CONFIRMED:
-                continue
-            tail_delivery = tail_by_pair.get(head_delivery.pair_id)
-            if tail_delivery is None or tail_delivery.measurement is None:
-                continue
-            expected = expected_xor(int(head_delivery.bell_state), basis)
-            observed = head_delivery.measurement ^ tail_delivery.measurement
-            results[basis][1] += 1
-            if observed != expected:
-                results[basis][0] += 1
+
+    def score(basis: str, pair) -> None:
+        if pair.tail_delivery.measurement is None:
+            return
+        expected = expected_xor(int(pair.head_delivery.bell_state), basis)
+        observed = (pair.head_delivery.measurement
+                    ^ pair.tail_delivery.measurement)
+        results[basis][1] += 1
+        if observed != expected:
+            results[basis][0] += 1
+
+    handles = [net.submit(circuit_id,
+                          UserRequest(num_pairs=rounds_per_basis,
+                                      request_type=RequestType.MEASURE,
+                                      measure_basis=basis),
+                          on_matched=partial(score, basis))
+               for basis in ("Z", "X")]
+    net.run_until_complete(handles, timeout_s=timeout_s)
     error_z = results["Z"][0] / results["Z"][1] if results["Z"][1] else 0.0
     error_x = results["X"][0] / results["X"][1] if results["X"][1] else 0.0
     return FidelityEstimate(

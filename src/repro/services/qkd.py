@@ -117,24 +117,22 @@ def sift(head: BBM92Endpoint, tail: BBM92Endpoint) -> SiftedKey:
 
 def run_bbm92(net, circuit_id: str, num_pairs: int,
               timeout_s: float = 600.0) -> SiftedKey:
-    """Convenience driver: request pairs on a circuit and distil a key."""
+    """Convenience driver: request pairs on a circuit and distil a key.
+
+    The head end measures each pair as it is delivered; the tail end
+    measures its deliveries, in arrival order, once the run is over.
+    """
     from ..core.requests import UserRequest
 
     route = net.route_of(circuit_id)
     head_name, tail_name = route.path[0], route.path[-1]
     head = BBM92Endpoint(net.node(head_name).device, net.sim.rng)
     tail = BBM92Endpoint(net.node(tail_name).device, net.sim.rng)
-    handle = net.submit(circuit_id, UserRequest(num_pairs=num_pairs))
+    tail_deliveries = []
+    handle = net.submit(circuit_id, UserRequest(num_pairs=num_pairs),
+                        on_tail_delivery=tail_deliveries.append)
     handle.on_delivery(head.absorb)
-    # Tail deliveries arrive through the facade's tail collector.
-    seen_tail = 0
-
-    def pump_tail():
-        nonlocal seen_tail
-        for delivery in handle.tail_deliveries[seen_tail:]:
-            tail.absorb(delivery)
-            seen_tail += 1
-
     net.run_until_complete([handle], timeout_s=timeout_s)
-    pump_tail()
+    for delivery in tail_deliveries:
+        tail.absorb(delivery)
     return sift(head, tail)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from ..analysis.experiments import render_table
 from ..analysis.stats import mean
 from ..apps import HEADLINE_METRICS, summarise_apps
-from ..core.requests import DeliveryStatus, RequestStatus
+from ..core.requests import RequestStatus
 from ..netsim.units import S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -387,16 +387,13 @@ def record_handles(record: "SessionRecord") -> list:
 
 def record_confirmed(record: "SessionRecord") -> int:
     """CONFIRMED deliveries across all incarnations."""
-    return sum(1 for handle in record_handles(record)
-               for delivery in handle.delivered
-               if delivery.status == DeliveryStatus.CONFIRMED)
+    return sum(handle.pairs_confirmed for handle in record_handles(record))
 
 
 def record_fidelities(record: "SessionRecord") -> list:
     """Measured fidelities across all incarnations, in match order."""
-    return [pair.fidelity for handle in record_handles(record)
-            for pair in handle.matched_pairs
-            if pair.fidelity is not None]
+    return [fidelity for handle in record_handles(record)
+            for fidelity in handle.fidelities]
 
 
 def build_report(net: "Network", circuits: Sequence["TrafficCircuit"],

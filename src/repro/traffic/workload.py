@@ -701,8 +701,8 @@ class TrafficEngine:
         CONFIRMED status — exactly once per pair: KEEP/MEASURE pairs are
         delivered already confirmed, EARLY pairs notify first as PENDING
         and again when the cross-check confirms (or never, when they
-        expire).  The counter therefore matches the report's
-        ``pairs_confirmed`` tally, which scans the same handles.
+        expire).  The handle's own ``pairs_confirmed``, which the report
+        sums, counts by the same rule, so the two always agree.
         """
         handle.on_delivery(partial(self._counted_delivery, handle))
 

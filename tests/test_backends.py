@@ -346,11 +346,12 @@ def test_formalism_threads_through_the_stack():
     for link in net.links.values():
         assert link.backend.name == "bell"
     circuit_id = net.establish_circuit("node0", "node2", 0.8)
+    matched_pairs = []
     handle = net.submit(circuit_id, UserRequest(num_pairs=2),
-                        record_fidelity=True)
+                        on_matched=matched_pairs.append)
     net.run_until_complete([handle], timeout_s=120.0)
-    assert len(handle.matched_pairs) == 2
-    for matched in handle.matched_pairs:
+    assert len(matched_pairs) == 2
+    for matched in matched_pairs:
         assert 0.5 < matched.fidelity <= 1.0
 
 

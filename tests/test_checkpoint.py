@@ -307,16 +307,17 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_old_version_envelope_rejected(self, tmp_path, version):
         # Older layouts: versions 1-3 carried the process-global ID
         # counters in the envelope (1 also the Bell weight store's peak
         # occupancy), 2 pickled P² quantile estimators, 4 pickled the
         # session-retirement state, 5 pickled midpoint stations and
         # per-submission delivery lists, 6 pickled a traced network's
-        # flat event log beside its spans, and 7 pickled a heap of bare
+        # flat event log beside its spans, 7 pickled a heap of bare
         # handles and wrapped the cutoff and keepalive handles in timer
-        # objects.  The engine blob is not a pickle, so deserialising it would fail with
+        # objects, and 8 pickled every handle's delivery and matched-pair
+        # lists and kept finished requests' records.  The engine blob is not a pickle, so deserialising it would fail with
         # "corrupt engine state": the version check must come first.
         envelope = {"magic": "repro-checkpoint", "version": version,
                     "engine_blob": f"version-{version} engine".encode()}

@@ -64,9 +64,12 @@ class TestMessages:
 
 
 def make_submission(**fields):
-    """A submission whose handle collects the matched pairs."""
-    return _Submission(handle=RequestHandle(UserRequest(num_pairs=2)),
-                       **fields)
+    """A submission whose ``on_matched`` consumer collects the matched
+    pairs into the returned list."""
+    matched = []
+    submission = _Submission(handle=RequestHandle(UserRequest(num_pairs=2)),
+                             on_matched=matched.append, **fields)
+    return submission, matched
 
 
 def make_delivery(pair_id, status=DeliveryStatus.CONFIRMED, qubit=None):
@@ -78,36 +81,37 @@ def make_delivery(pair_id, status=DeliveryStatus.CONFIRMED, qubit=None):
 
 class TestSubmissionMatching:
     def test_matching_requires_both_ends(self):
-        submission = make_submission(record_fidelity=True)
+        submission, matched_pairs = make_submission(record_fidelity=True)
         net = bare_network()  # matching logic only
         net._match(submission, make_delivery(("p", 0)), is_head=True)
-        assert submission.handle.matched_pairs == []
+        assert matched_pairs == []
         net._match(submission, make_delivery(("p", 0)), is_head=False)
-        assert len(submission.handle.matched_pairs) == 1
-        matched = submission.handle.matched_pairs[0]
+        assert len(matched_pairs) == 1
+        matched = matched_pairs[0]
         assert isinstance(matched, MatchedPair)
         assert matched.fidelity is None  # no qubits attached
         assert matched.accepted
+        assert submission.handle.fidelities == []
 
     def test_distinct_pair_ids_do_not_match(self):
-        submission = make_submission(record_fidelity=True)
+        submission, matched_pairs = make_submission(record_fidelity=True)
         net = bare_network()
         net._match(submission, make_delivery(("p", 0)), is_head=True)
         net._match(submission, make_delivery(("p", 1)), is_head=False)
-        assert submission.handle.matched_pairs == []
+        assert matched_pairs == []
 
     def test_matching_disabled_without_recording(self):
-        submission = make_submission(record_fidelity=False)
+        submission, matched_pairs = make_submission(record_fidelity=False)
         net = bare_network()
         net._match(submission, make_delivery(("p", 0)), is_head=True)
         net._match(submission, make_delivery(("p", 0)), is_head=False)
-        assert submission.handle.matched_pairs == []
+        assert matched_pairs == []
 
     def test_oracle_accepts_and_rejects(self):
         from repro.quantum import bell_dm, create_pair, werner_dm
 
-        submission = make_submission(record_fidelity=True,
-                                    oracle_min_fidelity=0.9)
+        submission, matched_pairs = make_submission(record_fidelity=True,
+                                                    oracle_min_fidelity=0.9)
         net = bare_network()
         good_a, good_b = create_pair(bell_dm(0))
         net._match(submission, make_delivery(("p", 0), qubit=good_a),
@@ -119,13 +123,16 @@ class TestSubmissionMatching:
                    is_head=True)
         net._match(submission, make_delivery(("p", 1), qubit=bad_b),
                    is_head=False)
-        accepted = [m.accepted for m in submission.handle.matched_pairs]
+        accepted = [m.accepted for m in matched_pairs]
         assert accepted == [True, False]
+        # The handle keeps the fidelities, in match order.
+        assert submission.handle.fidelities == [
+            m.fidelity for m in matched_pairs]
         # Qubits were consumed after measurement to avoid state build-up.
         assert good_a.state is None and bad_b.state is None
 
     def test_pending_deliveries_not_matched(self):
-        submission = make_submission(record_fidelity=True)
+        submission, _ = make_submission(record_fidelity=True)
         net = bare_network()
         net._on_head_delivery(submission,
                               make_delivery(("p", 0),

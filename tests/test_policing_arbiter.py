@@ -192,9 +192,14 @@ def test_multi_circuit_contention_on_shared_link():
                 for _ in range(3)]
     handles = [net.submit(circuit_id, UserRequest(num_pairs=2))
                for circuit_id in circuits]
+    sequences = {}
+    for handle in handles:
+        sequences[handle.request_id] = []
+        handle.on_delivery(lambda delivery: sequences[
+            delivery.request_id].append(delivery.sequence))
     net.run_until_complete(handles, timeout_s=900.0)
     for handle in handles:
         assert handle.status == RequestStatus.COMPLETED
         # Deliveries arrive in sequence order per circuit (FIFO demux).
-        sequences = [delivery.sequence for delivery in handle.delivered]
-        assert sequences == sorted(sequences)
+        assert sequences[handle.request_id] == sorted(
+            sequences[handle.request_id])

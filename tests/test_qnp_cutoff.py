@@ -83,10 +83,10 @@ class TestDecoherenceImpact:
                                 record_fidelity=True)
         bad.run_until_complete([bad_handle], timeout_s=300)
 
-        good_mean = sum(m.fidelity for m in good_handle.matched_pairs) / \
-            len(good_handle.matched_pairs)
-        bad_mean = sum(m.fidelity for m in bad_handle.matched_pairs) / \
-            len(bad_handle.matched_pairs)
+        good_mean = sum(good_handle.fidelities) / \
+            len(good_handle.fidelities)
+        bad_mean = sum(bad_handle.fidelities) / \
+            len(bad_handle.fidelities)
         assert bad_mean < good_mean
 
     def test_cutoff_protects_fidelity_on_short_memory(self):
@@ -101,7 +101,7 @@ class TestDecoherenceImpact:
             handle = net.submit(circuit_id, UserRequest(num_pairs=8),
                                 record_fidelity=True)
             net.run_until_complete([handle], timeout_s=600)
-            fidelities = [m.fidelity for m in handle.matched_pairs]
+            fidelities = handle.fidelities
             results[label] = sum(fidelities) / len(fidelities)
         assert results["with"] > results["without"]
 
@@ -116,7 +116,7 @@ class TestDecoherenceImpact:
                 max_eer=100.0, estimated_fidelity=0.8)
             handle = net.submit(circuit_id, UserRequest(num_pairs=10_000))
             net.run(until_s=net.sim.now / 1e9 + 10.0)
-            counts[t2_s] = len(handle.delivered)
+            counts[t2_s] = handle.pairs_confirmed
         assert counts[2.0] > counts[0.02]
 
 
@@ -131,7 +131,7 @@ class TestMessageDelays:
             net.set_message_delay(delay)
             handle = net.submit(circuit_id, UserRequest(num_pairs=10_000))
             net.run(until_s=net.sim.now / 1e9 + 8.0)
-            counts[delay] = len(handle.delivered)
+            counts[delay] = handle.pairs_confirmed
         assert counts[1 * MS] > 0.5 * counts[0.0]
 
     def test_blocking_tracking_suffers_under_delay(self):
@@ -147,5 +147,5 @@ class TestMessageDelays:
             net.set_message_delay(delay)
             handle = net.submit(circuit_id, UserRequest(num_pairs=10_000))
             net.run(until_s=net.sim.now / 1e9 + 8.0)
-            counts[blocking] = len(handle.delivered)
+            counts[blocking] = handle.pairs_confirmed
         assert counts[False] > counts[True]

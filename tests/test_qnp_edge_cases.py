@@ -58,9 +58,7 @@ class TestStragglerPairs:
         handle = net.submit(circuit_id, UserRequest(num_pairs=7))
         net.run_until_complete([handle], timeout_s=120)
         net.run(until_s=net.sim.now / 1e9 + 2.0)
-        confirmed = [d for d in handle.delivered
-                     if d.status == DeliveryStatus.CONFIRMED]
-        assert len(confirmed) == 7
+        assert handle.pairs_confirmed == 7
 
 
 class TestSharedLinksOppositeCircuits:
@@ -92,11 +90,12 @@ class TestLongerChains:
     def test_five_node_chain(self):
         net = build_chain_network(5, seed=46)
         circuit_id = net.establish_circuit("node0", "node4", 0.7)
+        matched_pairs = []
         handle = net.submit(circuit_id, UserRequest(num_pairs=3),
-                            record_fidelity=True)
+                            on_matched=matched_pairs.append)
         net.run_until_complete([handle], timeout_s=600)
         assert handle.status == RequestStatus.COMPLETED
-        for matched in handle.matched_pairs:
+        for matched in matched_pairs:
             assert matched.fidelity >= 0.7 - 0.05
         # Three repeaters all swapped.
         for name in ("node1", "node2", "node3"):
@@ -111,12 +110,15 @@ class TestMixedAggregation:
         measure = net.submit(circuit_id,
                              UserRequest(num_pairs=3,
                                          request_type=RequestType.MEASURE))
+        kept, measured = [], []
+        keep.on_delivery(kept.append)
+        measure.on_delivery(measured.append)
         net.run_until_complete([keep, measure], timeout_s=600)
         assert keep.status == RequestStatus.COMPLETED
         assert measure.status == RequestStatus.COMPLETED
-        assert all(d.qubit is not None for d in keep.delivered
+        assert all(d.qubit is not None for d in kept
                    if d.status == DeliveryStatus.CONFIRMED)
-        assert all(d.measurement in (0, 1) for d in measure.delivered)
+        assert all(d.measurement in (0, 1) for d in measured)
 
 
 class TestUninstall:
@@ -150,13 +152,14 @@ class TestNearTermStoragePath:
         circuit_id = net.establish_circuit_manual(
             ["node0", "node1", "node2"], link_fidelity=0.8,
             cutoff=3.0 * S, max_eer=5.0, estimated_fidelity=0.55)
+        matched_pairs = []
         handle = net.submit(circuit_id, UserRequest(num_pairs=2),
-                            record_fidelity=True)
+                            on_matched=matched_pairs.append)
         net.run_until_complete([handle], timeout_s=600)
         assert handle.status == RequestStatus.COMPLETED
         # Storage pool was actually exercised.
         assert net.node("node1").params.storage_qubits > 0
-        for matched in handle.matched_pairs:
+        for matched in matched_pairs:
             assert matched.fidelity > 0.4
 
     def test_near_term_serial_links_still_complete(self):

@@ -22,11 +22,13 @@ class TestTwoNodeCircuit:
     def test_delivers_pairs(self):
         net = build_chain_network(2, seed=1)
         circuit_id = net.establish_circuit("node0", "node1", 0.85)
+        matched_pairs = []
         handle = complete_request(net, circuit_id, UserRequest(num_pairs=4),
-                                  record_fidelity=True)
+                                  on_matched=matched_pairs.append)
         assert handle.status == RequestStatus.COMPLETED
-        assert len(handle.delivered) == 4
-        assert all(m.fidelity >= 0.85 - 0.02 for m in handle.matched_pairs)
+        assert handle.pairs_confirmed == 4
+        assert all(m.fidelity >= 0.85 - 0.02 for m in matched_pairs)
+        assert handle.fidelities == [m.fidelity for m in matched_pairs]
 
     def test_no_swaps_needed(self):
         net = build_chain_network(2, seed=1)
@@ -40,12 +42,13 @@ class TestRepeaterChain:
     def test_three_node_delivery_and_fidelity(self):
         net = build_chain_network(3, seed=2)
         circuit_id = net.establish_circuit("node0", "node2", 0.8)
+        matched_pairs = []
         handle = complete_request(net, circuit_id, UserRequest(num_pairs=6),
-                                  record_fidelity=True)
+                                  on_matched=matched_pairs.append)
         assert handle.status == RequestStatus.COMPLETED
-        assert len(handle.matched_pairs) == 6
+        assert len(matched_pairs) == 6
         # Every delivered pair beats the target (worst-case budget honoured).
-        for matched in handle.matched_pairs:
+        for matched in matched_pairs:
             assert matched.fidelity >= 0.8 - 0.02
 
     def test_swaps_happen_at_intermediate_only(self):
@@ -59,9 +62,10 @@ class TestRepeaterChain:
         """The lazy-tracking XOR algebra against the simulated physics."""
         net = build_chain_network(3, seed=3)
         circuit_id = net.establish_circuit("node0", "node2", 0.8)
-        handle = complete_request(net, circuit_id, UserRequest(num_pairs=8),
-                                  record_fidelity=True)
-        for matched in handle.matched_pairs:
+        matched_pairs = []
+        complete_request(net, circuit_id, UserRequest(num_pairs=8),
+                         on_matched=matched_pairs.append)
+        for matched in matched_pairs:
             # Reported Bell state must agree at both ends and be the state
             # the pair is actually (mostly) in.
             assert matched.head_delivery.bell_state == matched.tail_delivery.bell_state
@@ -70,10 +74,12 @@ class TestRepeaterChain:
     def test_four_node_chain(self):
         net = build_chain_network(4, seed=4)
         circuit_id = net.establish_circuit("node0", "node3", 0.75)
+        matched_pairs = []
         handle = complete_request(net, circuit_id, UserRequest(num_pairs=4),
-                                  record_fidelity=True, timeout_s=200)
+                                  on_matched=matched_pairs.append,
+                                  timeout_s=200)
         assert handle.status == RequestStatus.COMPLETED
-        for matched in handle.matched_pairs:
+        for matched in matched_pairs:
             assert matched.fidelity >= 0.75 - 0.03
 
     def test_latency_reasonable_for_chain(self):
@@ -90,34 +96,39 @@ class TestFinalState:
     def test_pauli_correction_to_requested_state(self):
         net = build_chain_network(3, seed=6)
         circuit_id = net.establish_circuit("node0", "node2", 0.8)
+        matched_pairs = []
         handle = complete_request(
             net, circuit_id,
             UserRequest(num_pairs=6, final_state=BellIndex.PHI_PLUS),
-            record_fidelity=True)
+            on_matched=matched_pairs.append)
         assert handle.status == RequestStatus.COMPLETED
         assert all(m.head_delivery.bell_state == BellIndex.PHI_PLUS
-                   for m in handle.matched_pairs)
+                   for m in matched_pairs)
         # Fidelity is measured against the reported state: correction
         # really happened physically.  A BSM readout error (0.2% per bit)
         # mislabels the swap outcome, so tracking then applies the wrong
         # frame to that one pair — modeled physics, not a tracking bug.
         # With ~0.4% per swap the chance of two such pairs in one run is
         # ~1e-4, so require at most one outlier.
-        corrected = [m for m in handle.matched_pairs if m.fidelity >= 0.75]
-        assert len(corrected) >= len(handle.matched_pairs) - 1
-        assert len(handle.matched_pairs) == 6
+        corrected = [m for m in matched_pairs if m.fidelity >= 0.75]
+        assert len(corrected) >= len(matched_pairs) - 1
+        assert len(matched_pairs) == 6
 
 
 class TestMeasureRequests:
     def test_outcomes_delivered_with_bell_state(self):
         net = build_chain_network(3, seed=7)
         circuit_id = net.establish_circuit("node0", "node2", 0.8)
-        handle = complete_request(
-            net, circuit_id,
+        handle = net.submit(
+            circuit_id,
             UserRequest(num_pairs=10, request_type=RequestType.MEASURE,
                         measure_basis="Z"))
+        delivered = []
+        handle.on_delivery(delivered.append)
+        net.run_until_complete([handle], timeout_s=120)
         assert handle.status == RequestStatus.COMPLETED
-        for delivery in handle.delivered:
+        assert len(delivered) == handle.pairs_confirmed == 10
+        for delivery in delivered:
             assert delivery.measurement in (0, 1)
             assert delivery.qubit is None
             assert delivery.bell_state is not None
@@ -130,18 +141,16 @@ class TestMeasureRequests:
         """
         net = build_chain_network(3, seed=8)
         circuit_id = net.establish_circuit("node0", "node2", 0.9)
-        handle = complete_request(
+        matched_pairs = []
+        complete_request(
             net, circuit_id,
             UserRequest(num_pairs=40, request_type=RequestType.MEASURE),
-            timeout_s=300)
-        tail_by_pair = {d.pair_id: d for d in handle.tail_deliveries
-                        if d.status == DeliveryStatus.CONFIRMED}
+            on_matched=matched_pairs.append, timeout_s=300)
         checked = 0
         good = 0
-        for head_delivery in handle.delivered:
-            tail_delivery = tail_by_pair.get(head_delivery.pair_id)
-            if tail_delivery is None:
-                continue
+        for matched in matched_pairs:
+            head_delivery = matched.head_delivery
+            tail_delivery = matched.tail_delivery
             checked += 1
             # Ψ states anticorrelate in Z, Φ states correlate.
             parity = int(head_delivery.bell_state) & 1
@@ -159,14 +168,16 @@ class TestEarlyDelivery:
         handle = net.submit(circuit_id,
                             UserRequest(num_pairs=3,
                                         request_type=RequestType.EARLY))
-        handle.on_delivery(lambda d: events.append((d.status, d.pair_id)))
+        handle.on_delivery(lambda d: events.append((d.status, d)))
         net.run_until_complete([handle], timeout_s=120)
         assert handle.status == RequestStatus.COMPLETED
         statuses = [status for status, _ in events]
         assert DeliveryStatus.PENDING in statuses
         assert statuses.count(DeliveryStatus.CONFIRMED) == 3
+        assert handle.pairs_confirmed == 3
         # Confirmation carries the Bell state.
-        confirmed = [d for d in handle.delivered if d.status == DeliveryStatus.CONFIRMED]
+        confirmed = [d for status, d in events
+                     if status == DeliveryStatus.CONFIRMED]
         assert all(d.bell_state is not None for d in confirmed)
 
 
@@ -179,7 +190,7 @@ class TestAggregation:
         net.run_until_complete(handles, timeout_s=300)
         for handle in handles:
             assert handle.status == RequestStatus.COMPLETED
-            assert len(handle.delivered) == 4
+            assert handle.pairs_confirmed == 4
 
     def test_sequential_requests(self):
         net = build_chain_network(3, seed=11)
@@ -193,7 +204,7 @@ class TestAggregation:
         circuit_id = net.establish_circuit("node0", "node2", 0.8)
         handle = net.submit(circuit_id, UserRequest(rate=5.0))
         net.run(until_s=net.sim.now / 1e9 + 3.0)
-        delivered_before = len(handle.delivered)
+        delivered_before = handle.pairs_confirmed
         assert delivered_before > 0
         net.qnps["node0"].cancel(circuit_id, handle.request_id)
         assert handle.status == RequestStatus.COMPLETED
@@ -205,7 +216,7 @@ class TestPolicingAndShaping:
         circuit_id = net.establish_circuit("node0", "node2", 0.8, max_eer=5.0)
         handle = net.submit(circuit_id, UserRequest(rate=50.0))
         assert handle.status == RequestStatus.REJECTED
-        assert not handle.delivered
+        assert handle.pairs_confirmed == 0
 
     def test_shaped_request_starts_after_first_completes(self):
         net = build_chain_network(3, seed=14)

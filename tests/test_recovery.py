@@ -13,7 +13,7 @@ from repro.traffic import (
     build_topology,
     fault_schedule,
 )
-from repro.traffic.metrics import record_fidelities
+from repro.traffic.metrics import record_confirmed, record_fidelities
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +279,7 @@ class TestEngineRecovery:
 
     def test_lost_arrival_handle_has_empty_delivery_lists(self):
         """An arrival on a lost circuit never reaches ``Network.submit``,
-        yet its handle carries the same, empty, delivery lists."""
+        yet its handle carries the same, empty, delivery tallies."""
         net = build_topology("ring", 5, seed=34, formalism="bell")
         engine = TrafficEngine(net, circuits=1, seed=34)
         engine.install()[0].lost = True
@@ -287,8 +287,9 @@ class TestEngineRecovery:
                                    priority=DEFAULT_CLASSES[0], num_pairs=2))
         record = engine.records[-1]
         assert record.decision == "lost"
-        assert record.handle.matched_pairs == []
-        assert record.handle.tail_deliveries == []
+        assert record.handle.pairs_confirmed == 0
+        assert record.handle.fidelities == []
+        assert record_confirmed(record) == 0
         assert record_fidelities(record) == []
 
     def test_faulted_run_deterministic(self):
