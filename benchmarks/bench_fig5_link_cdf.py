@@ -12,7 +12,7 @@ percentile within a factor of two of 30 ms.
 
 from repro.analysis import Cdf, mean, render_table
 from repro.netsim.ports import subscribe
-from repro.netsim.units import MS, S
+from repro.netsim.units import MS
 from repro.network.builder import build_chain_network
 
 from figutils import scale, write_result
@@ -30,6 +30,8 @@ def collect_interpair_times(seed: int = 0) -> list[float]:
     def on_pair(delivery):
         if last[0] is not None:
             times.append(net.sim.now - last[0])
+            if len(times) == NUM_PAIRS:
+                net.sim.stop()
         last[0] = net.sim.now
         for node_name in ("node0", "node1"):
             net.node(node_name).qmm.free(delivery.entanglement_id)
@@ -39,10 +41,7 @@ def collect_interpair_times(seed: int = 0) -> list[float]:
         port.disconnect()  # detach the network layer the builder wired
         subscribe(port, handler)
     link.set_request("fig5", min_fidelity=FIDELITY, lpr=100.0)
-    while len(times) < NUM_PAIRS:
-        if net.sim.pending_events() == 0:
-            break
-        net.sim.run(until=net.sim.now + 1 * S)
+    net.sim.run()
     return times[:NUM_PAIRS]
 
 

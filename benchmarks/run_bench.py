@@ -4,7 +4,10 @@
 Runs the engine micro benchmarks (the ops behind ``bench_micro_engine.py``)
 on the exact density-matrix formalism *and* the Bell-diagonal formalism and
 writes ``BENCH_<rev>.json`` (median ns per op, plus the bell-vs-dm speedup
-ratios) so the performance trajectory is tracked across PRs::
+ratios) so the performance trajectory is tracked across PRs.  The two
+formalisms of a ratio op are timed in alternating batches, and the ratio
+is the median of the per-round ratios, so host drift during the run does
+not land on one side only::
 
     PYTHONPATH=src python benchmarks/run_bench.py            # BENCH_<git rev>.json
     PYTHONPATH=src python benchmarks/run_bench.py --out x.json --rounds 9
@@ -30,8 +33,8 @@ def _git_revision() -> str:
     return git_revision(Path(__file__).resolve().parent)
 
 
-def _median_ns(fn, iterations: int, rounds: int) -> float:
-    """Median wall time per call over ``rounds`` timed batches.
+def _batch_timer(fn, iterations: int):
+    """Warm ``fn`` and return a callable timing one batch (ns per call).
 
     A benchmark whose calls consume their inputs carries a
     ``prepare(count)`` attribute that builds the inputs of the next
@@ -41,15 +44,16 @@ def _median_ns(fn, iterations: int, rounds: int) -> float:
     if prepare is not None:
         prepare(1)
     fn()  # warm caches — steady-state cost is what the trajectory tracks
-    samples = []
-    for _ in range(rounds):
+
+    def batch() -> float:
         if prepare is not None:
             prepare(iterations)
         start = time.perf_counter_ns()
         for _ in range(iterations):
             fn()
-        samples.append((time.perf_counter_ns() - start) / iterations)
-    return statistics.median(samples)
+        return (time.perf_counter_ns() - start) / iterations
+
+    return batch
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +343,9 @@ def bench_link_delivery_round(formalism: str):
     return run
 
 
+#: Ops timed on both formalisms whose bell-over-dm ratio is reported.
+RATIO_OPS = ("bsm", "link_delivery_round", "traffic_round", "traffic_soak")
+
 #: name → (factory, iterations per round)
 BENCHMARKS = {
     "decoherence_channel": (bench_decoherence_channel, 2000),
@@ -377,21 +384,40 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     revision = _git_revision()
-    results: dict[str, float] = {}
-    for name, (factory, iterations) in BENCHMARKS.items():
-        if args.only and name not in args.only:
+    selected = [name for name in BENCHMARKS
+                if not args.only or name in args.only]
+    samples: dict[str, list[float]] = {}
+    speedups = {}
+    for name in selected:
+        if name in samples:
             continue
-        fn = factory()
-        median = _median_ns(fn, iterations, args.rounds)
+        op = name.rsplit("_", 1)[0]
+        pair = (f"{op}_dm", f"{op}_bell")
+        if op in RATIO_OPS and all(key in selected for key in pair):
+            # Alternate dm and bell batches so host drift lands on both
+            # sides of the ratio alike, and gate the per-round ratios.
+            timers = [_batch_timer(BENCHMARKS[key][0](), BENCHMARKS[key][1])
+                      for key in pair]
+            for key in pair:
+                samples[key] = []
+            for round_index in range(args.rounds):
+                order = (0, 1) if round_index % 2 == 0 else (1, 0)
+                for side in order:
+                    samples[pair[side]].append(timers[side]())
+            ratios = [dm / bell for dm, bell
+                      in zip(samples[pair[0]], samples[pair[1]])]
+            speedups[op] = round(statistics.median(ratios), 2)
+        else:
+            factory, iterations = BENCHMARKS[name]
+            timer = _batch_timer(factory(), iterations)
+            samples[name] = [timer() for _ in range(args.rounds)]
+    results: dict[str, float] = {}
+    for name in selected:
+        median = statistics.median(samples[name])
         results[name] = round(median, 1)
         print(f"{name:30s} {median / 1e3:12.2f} us/op")
-
-    speedups = {}
-    for op in ("bsm", "link_delivery_round", "traffic_round", "traffic_soak"):
-        dm_key, bell_key = f"{op}_dm", f"{op}_bell"
-        if dm_key in results and bell_key in results:
-            speedups[op] = round(results[dm_key] / results[bell_key], 2)
-            print(f"{op}: bell is {speedups[op]}x faster than dm")
+    for op, speedup in speedups.items():
+        print(f"{op}: bell is {speedup}x faster than dm")
 
     payload = {
         "revision": revision,

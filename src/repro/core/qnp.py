@@ -167,7 +167,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
                 # Shaped (queued) requests must abort too: their bandwidth
                 # will never free up on a circuit that no longer exists, and
                 # a handle stuck in QUEUED stalls run_until_complete().
-                handle.status = RequestStatus.ABORTED
+                handle._finish(RequestStatus.ABORTED, self.now)
                 if runtime.policer is not None:
                     runtime.policer.abort(record.request_id)
             handle._close()
@@ -255,7 +255,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         self._emit("ADMIT", request=request.request_id,
                    decision=str(decision))
         if decision == PolicerDecision.REJECT:
-            handle.status = RequestStatus.REJECTED
+            handle._finish(RequestStatus.REJECTED, self.now)
             handle._close()
             return handle
         runtime.requests[request.request_id] = record
@@ -277,7 +277,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         if handle is not None and handle.status == RequestStatus.QUEUED:
             # Still shaped: drop it before it ever starts.
             runtime.policer.drop_queued(request_id)
-            handle.status = RequestStatus.ABORTED
+            handle._finish(RequestStatus.ABORTED, self.now)
             del runtime.requests[request_id]
             self._drop_application(record.head_end_identifier)
             handle._close()
@@ -322,8 +322,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         if handle is not None:
             if handle.status != RequestStatus.ACTIVE:
                 return  # already completed (late in-flight confirmation)
-            handle.status = RequestStatus.COMPLETED
-            handle.t_completed = self.now
+            handle._finish(RequestStatus.COMPLETED, self.now)
             self._emit("REQUEST_DONE", request=record.request_id)
         runtime.active.pop(record.request_id, None)
         runtime.demux.mark_finished(record.request_id)

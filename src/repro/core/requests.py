@@ -159,7 +159,6 @@ class RequestHandle:
     def __init__(self, request: UserRequest, estimated_fidelity: float = 0.0):
         self.request = request
         self.status = RequestStatus.QUEUED
-        self.expired_count = 0
         self.t_submitted: float = 0.0
         self.t_started: Optional[float] = None
         self.t_completed: Optional[float] = None
@@ -168,6 +167,7 @@ class RequestHandle:
         self.fidelities: list[float] = []
         #: ``None`` once the head-end has closed the handle.
         self._listeners: Optional[list] = []
+        self._waiter = None
 
     @property
     def request_id(self) -> str:
@@ -192,6 +192,18 @@ class RequestHandle:
             self.pairs_confirmed += 1
         for listener in tuple(self._listeners or ()):
             listener(delivery)
+
+    def _finish(self, status: RequestStatus, now: float) -> None:
+        """End the request with a terminal ``status`` at time ``now``.
+
+        Calls the waiter that
+        :meth:`~repro.network.builder.Network.run_until_complete` arms.
+        """
+        self.status = status
+        if status is RequestStatus.COMPLETED:
+            self.t_completed = now
+        if self._waiter is not None:
+            self._waiter()
 
     def _close(self) -> None:
         """Drop the listeners: nothing will be delivered any more."""

@@ -6,7 +6,12 @@ a small, deterministic replacement for the NetSquid kernel the paper used:
 * simulated time is a float in nanoseconds,
 * events fire in (time, insertion-order) order, so two events scheduled for
   the same instant fire in the order they were scheduled (FIFO tie-break),
-* events can be cancelled through the handle returned by ``schedule``.
+* events can be cancelled through the handle returned by ``schedule``,
+* a callback ends the current :meth:`Simulator.run` early with
+  :meth:`Simulator.stop`: the run returns once every event at the
+  current instant has fired.  That is the one way to run the clock until
+  something happens — "until these requests finish", "until this
+  circuit is installed" — with no stepping loop on top of ``run``.
 
 The :class:`EventHandle` that :meth:`Simulator.schedule` returns is the one
 timer object of the code base: arming a timeout is ``handle =
@@ -21,7 +26,7 @@ of the profile at scale:
 
 * **O(1) pending count** — the simulator tracks a live cancelled-event
   count, so :meth:`Simulator.pending_events` is a subtraction instead of a
-  queue scan (the builder's handshake and drain loops poll it per step);
+  queue scan;
 * **cancelled-heap compaction** — the queue compacts itself the moment
   cancelled entries exceed half of it, bounding both memory and per-push
   log cost;
@@ -41,6 +46,7 @@ Example::
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Any, Callable, Optional
 
@@ -147,6 +153,8 @@ class Simulator:
         self._seq = SerialCounter()
         self._now = 0.0
         self._running = False
+        #: Time bound of the current :meth:`run`; :meth:`stop` lowers it.
+        self._until = math.inf
         self._event_count = 0
         #: Live count of cancelled handles still sitting in the heap.
         self._cancelled = 0
@@ -239,13 +247,19 @@ class Simulator:
         until:
             Stop once simulated time would exceed this value.  Events at
             exactly ``until`` still fire.  ``None`` runs until the queue
-            drains.
+            drains (or a callback calls :meth:`stop`).
         max_events:
             Safety valve: abort after this many events (raises
             ``RuntimeError``) — useful to catch accidental infinite loops in
             tests.
+
+        A run does not nest: calling ``run`` from a callback raises
+        ``RuntimeError``.
         """
+        if self._running:
+            raise RuntimeError("Simulator.run() is not re-entrant")
         self._running = True
+        self._until = math.inf if until is None else until
         fired = 0
         queue = self._queue
         pool = self._pool
@@ -257,8 +271,7 @@ class Simulator:
                     pop(queue)
                     self._cancelled -= 1
                     continue
-                if until is not None and time > until:
-                    self._now = until
+                if time > self._until:
                     break
                 pop(queue)
                 self._now = time
@@ -269,23 +282,21 @@ class Simulator:
                 head._fire()
                 if head.pooled and len(pool) < _POOL_LIMIT:
                     pool.append(head)
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
+            if until is not None and self._until > self._now:
+                self._now = self._until
         finally:
             self._running = False
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when none is queued.
+    def stop(self) -> None:
+        """End the current :meth:`run` at the current instant.
 
-        Cancelled heads are discarded with the same accounting as
-        :meth:`run`, so :meth:`pending_events` stays exact.
+        Every event at ``now`` still fires, including events a callback
+        schedules for ``now`` during the batch; the first later event
+        stays queued and ``now`` stays put.  A later ``run`` continues
+        from there.  Outside a run it has no effect: every run sets its
+        own bound.
         """
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-            self._cancelled -= 1
-        return queue[0][0] if queue else None
+        self._until = self._now
 
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events — O(1)."""

@@ -65,6 +65,23 @@ class MatchedPair:
 
 
 @dataclass
+class _StopAfter:
+    """Stop the simulator's run at the ``remaining``-th call.
+
+    A class, not a closure: it is armed on request handles, and a
+    checkpoint taken mid-drain pickles them.
+    """
+
+    sim: Simulator
+    remaining: int
+
+    def __call__(self, *_args) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.sim.stop()
+
+
+@dataclass
 class _Submission:
     """The façade's state for one request, alive while pairs can still
     arrive: the head handle's listener and the tail's application
@@ -386,23 +403,22 @@ class Network:
     def _install(self, route: RouteComputation, max_eer: Optional[float],
                  cutoff_policy=None) -> str:
         """Install a route and drive the simulation until it is ready."""
-        ready = []
+        ready = _StopAfter(self.sim, 1)
         circuit_id = self._install_async(route, max_eer,
                                          cutoff_policy=cutoff_policy,
-                                         on_ready=ready.append)
+                                         on_ready=ready)
         # The handshake needs a few propagation delays of simulated time.
         # Budget in *time*, not event count: when other circuits are already
         # carrying traffic, thousands of unrelated link events fire per
         # propagation delay and an event-count guard trips spuriously.
-        deadline = self.sim.now + 60.0 * S
-        while not ready:
-            if self.sim.now >= deadline or self.sim.pending_events() == 0:
-                # Undo the eager registration so a failed install leaves
-                # no phantom load behind for the utilisation metric.
-                self._circuit_meta.pop(circuit_id, None)
-                self.controller.register_teardown(circuit_id)
-                raise RuntimeError(f"circuit {circuit_id} installation stalled")
-            self._step(limit=deadline)
+        if ready.remaining:
+            self.sim.run(until=self.sim.now + 60.0 * S)
+        if ready.remaining:
+            # Undo the eager registration so a failed install leaves
+            # no phantom load behind for the utilisation metric.
+            self._circuit_meta.pop(circuit_id, None)
+            self.controller.register_teardown(circuit_id)
+            raise RuntimeError(f"circuit {circuit_id} installation stalled")
         return circuit_id
 
     def teardown_circuit(self, circuit_id: str) -> None:
@@ -642,28 +658,28 @@ class Network:
                            deadline_s: Optional[float] = None) -> None:
         """Run until all handles reach a terminal state (or timeout).
 
-        ``deadline_s`` is an *absolute* simulated-time cutoff overriding
-        the relative ``timeout_s`` — checkpoint/resume drains use it so a
-        resumed run stops at the same instant the uninterrupted one
-        would have.
+        The run ends at the instant the last handle ends, once every
+        event of that instant has fired.  ``deadline_s`` is an *absolute*
+        simulated-time cutoff overriding the relative ``timeout_s`` —
+        checkpoint/resume drains use it so a resumed run stops at the
+        same instant the uninterrupted one would have.  If the event
+        queue empties first, the clock ends at the deadline.
         """
         deadline = (self.sim.now + timeout_s * S if deadline_s is None
                     else deadline_s * S)
         terminal = (RequestStatus.COMPLETED, RequestStatus.REJECTED,
                     RequestStatus.ABORTED)
-        while any(handle.status not in terminal for handle in handles):
-            if self.sim.now >= deadline or self.sim.pending_events() == 0:
-                break
-            self._step(limit=deadline)
-
-    def _step(self, limit: Optional[float] = None) -> None:
-        """Advance the simulation by one event batch."""
-        target = self.sim.peek_time()
-        if target is None:
-            return
-        if limit is not None:
-            target = min(target, limit)
-        self.sim.run(until=target)
+        waiting = [handle for handle in dict.fromkeys(handles)
+                   if handle.status not in terminal]
+        if waiting and self.sim.now < deadline:
+            waiter = _StopAfter(self.sim, len(waiting))
+            for handle in waiting:
+                handle._waiter = waiter
+            try:
+                self.sim.run(until=deadline)
+            finally:
+                for handle in waiting:
+                    handle._waiter = None
 
     def set_message_delay(self, delay_ns: float) -> None:
         """Add a processing delay to every classical channel (Fig 10c)."""

@@ -740,7 +740,7 @@ class TrafficEngine:
                                   request_id=self.net.sim.next_id("req"))
             handle = RequestHandle(request, 0.0)
             handle.t_submitted = self.net.sim.now
-            handle.status = RequestStatus.ABORTED
+            handle._finish(RequestStatus.ABORTED, self.net.sim.now)
             self._c_submitted.inc()
             self._c_decision["lost"].inc()
             self.records.append(SessionRecord(

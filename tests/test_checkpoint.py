@@ -307,7 +307,7 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_old_version_envelope_rejected(self, tmp_path, version):
         # Older layouts: versions 1-3 carried the process-global ID
         # counters in the envelope (1 also the Bell weight store's peak
@@ -316,9 +316,12 @@ class TestEnvelope:
         # per-submission delivery lists, 6 pickled a traced network's
         # flat event log beside its spans, 7 pickled a heap of bare
         # handles and wrapped the cutoff and keepalive handles in timer
-        # objects, and 8 pickled every handle's delivery and matched-pair
-        # lists and kept finished requests' records.  The engine blob is not a pickle, so deserialising it would fail with
-        # "corrupt engine state": the version check must come first.
+        # objects, 8 pickled every handle's delivery and matched-pair
+        # lists and kept finished requests' records, and 9 pickled
+        # neither the kernel's run bound nor a handle's drain waiter.
+        # The engine blob is not a pickle, so deserialising it would
+        # fail with "corrupt engine state": the version check must come
+        # first.
         envelope = {"magic": "repro-checkpoint", "version": version,
                     "engine_blob": f"version-{version} engine".encode()}
         if version < 4:

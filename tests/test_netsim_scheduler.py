@@ -240,30 +240,61 @@ def test_next_id_counts_per_prefix_and_per_simulator():
     assert restored.next_id("vc") == sim.next_id("vc") == "vc2"
 
 
-def test_peek_time_discards_cancelled_heads():
+def test_stop_ends_the_run_after_the_current_instant():
     sim = Simulator()
-    assert sim.peek_time() is None
-    head = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    head.cancel()
-    assert sim.peek_time() == 2.0
-    assert sim.heap_size == 1
+    fired = []
+
+    def stopper():
+        fired.append("stop")
+        sim.stop()
+        sim.schedule(0, fired.append, "posted")  # same instant, mid-batch
+
+    sim.schedule(1.0, stopper)
+    sim.schedule(1.0, fired.append, "queued")
+    sim.schedule(2.0, fired.append, "later")
+    sim.run(until=10.0)
+    assert fired == ["stop", "queued", "posted"]
+    assert sim.now == 1.0
     assert sim.pending_events() == 1
+    sim.stop()  # outside a run: no effect on the next one
+    sim.run()
+    assert fired[-1] == "later" and sim.now == 2.0
 
 
-def test_network_step_keeps_pending_count_exact():
-    # Network._step skips cancelled heads before choosing its stop time;
-    # that must go through the scheduler's cancel accounting, or
-    # pending_events() under-counts and install/run_until_complete stop
-    # while live events remain.
-    from repro.traffic import build_topology
-
-    net = build_topology("grid", 2, seed=7, formalism="bell")
-    sim = net.sim
-    head = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    head.cancel()
-    net._step()
-    live = sum(1 for _, _, handle in sim._queue if not handle.cancelled)
-    assert sim.pending_events() == live == 0
+def test_run_is_not_reentrant():
+    sim = Simulator()
+    sim.schedule(1.0, sim.run)
+    with pytest.raises(RuntimeError, match="re-entrant"):
+        sim.run()
+    sim.schedule(1.0, lambda: None)
+    sim.run()  # the guard is released after the failed run
     assert sim.now == 2.0
+
+
+def test_run_until_complete_stops_at_the_last_terminal_instant():
+    from repro.core import RequestStatus, UserRequest
+    from repro.network.builder import build_chain_network
+
+    net = build_chain_network(3, seed=5)
+    circuit_id = net.establish_circuit("node0", "node2", 0.8)
+    handles = [net.submit(circuit_id, UserRequest(num_pairs=n))
+               for n in (1, 3)]
+    net.run_until_complete(handles + handles[:1], timeout_s=60)
+    assert all(h.status == RequestStatus.COMPLETED for h in handles)
+    sim = net.sim
+    assert sim.now == max(h.t_completed for h in handles)
+    assert all(time > sim.now for time, _, handle in sim._queue
+               if not handle.cancelled)
+    assert all(h._waiter is None for h in handles)
+
+
+def test_run_until_complete_on_an_empty_queue_runs_to_the_deadline():
+    from repro.core import RequestHandle, UserRequest
+    from repro.network.builder import build_chain_network
+
+    net = build_chain_network(2, seed=1)
+    assert net.sim.pending_events() == 0
+    handle = RequestHandle(UserRequest(num_pairs=1))
+    net.run_until_complete([handle], timeout_s=2.0)
+    assert net.sim.now == 2.0 * S
+    assert handle._waiter is None

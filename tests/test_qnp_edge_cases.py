@@ -35,7 +35,7 @@ class TestEarlyDeliveryExpiry:
         assert DeliveryStatus.PENDING in events
         assert events.count(DeliveryStatus.CONFIRMED) == 5
         # With such a tight cutoff at least some early pairs expired.
-        assert DeliveryStatus.EXPIRED in events or handle.expired_count == 0
+        assert events.count(DeliveryStatus.EXPIRED) >= 1
 
 
 class TestStragglerPairs:

@@ -69,7 +69,7 @@ def _kernel_problems(node: ast.AST):
         if (node.attr == "_queue" and isinstance(node.ctx, ast.Load)
                 and not _is_self(node.value)):
             yield ("read of another object's '._queue' — ask the "
-                   "simulator (peek_time, pending_events) instead")
+                   "simulator (pending_events, stop) instead")
     elif isinstance(node, ast.Call):
         func = node.func
         name = (func.id if isinstance(func, ast.Name)
