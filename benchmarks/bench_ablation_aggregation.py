@@ -5,26 +5,26 @@ repeater may only swap pairs belonging to the same circuit, so splitting
 identical requests over many circuits fragments the swap-matching pool
 (and multiplies data plane state).
 
-The ablation issues the same workload — four 6-pair requests between A0
+The ablation issues the same workload — four 25-pair requests between A0
 and B0 — either aggregated on one virtual circuit or spread over four
 parallel circuits between the same end-points, and compares total
-completion time.
+completion time, averaged over ``figutils.SEEDS``.
 """
 
 import pytest
 
-from repro.analysis import render_table
+from repro.analysis import mean, render_table
 from repro.core import RequestStatus, UserRequest
 from repro.network.builder import build_dumbbell_network
 
-from figutils import scale, write_result
+from figutils import SEEDS, write_result
 
 NUM_REQUESTS = 4
-PAIRS = scale(quick=6, full=25)
-TIMEOUT_S = scale(quick=600.0, full=1800.0)
+PAIRS = 25
+TIMEOUT_S = 1800.0
 
 
-def run_aggregated(seed: int = 6) -> float:
+def run_aggregated(seed: int) -> float:
     net = build_dumbbell_network(seed=seed)
     circuit_id = net.establish_circuit("A0", "B0", 0.8, "short")
     handles = [net.submit(circuit_id, UserRequest(num_pairs=PAIRS))
@@ -34,7 +34,7 @@ def run_aggregated(seed: int = 6) -> float:
     return max(h.t_completed for h in handles) / 1e6
 
 
-def run_fragmented(seed: int = 6) -> float:
+def run_fragmented(seed: int) -> float:
     net = build_dumbbell_network(seed=seed)
     circuit_ids = [net.establish_circuit("A0", "B0", 0.8, "short")
                    for _ in range(NUM_REQUESTS)]
@@ -51,19 +51,19 @@ def run_fragmented(seed: int = 6) -> float:
 
 @pytest.fixture(scope="module")
 def results():
-    return {"aggregated": run_aggregated(), "fragmented": run_fragmented()}
+    return {"aggregated": mean([run_aggregated(seed) for seed in SEEDS]),
+            "fragmented": mean([run_fragmented(seed) for seed in SEEDS])}
 
 
-def test_ablation_aggregation(benchmark, results):
-    data = benchmark.pedantic(lambda: results, rounds=1, iterations=1)
+def test_ablation_aggregation(results):
     table = render_table(
         ["strategy", "total completion (ms)"],
-        [["one shared circuit", round(data["aggregated"], 1)],
-         ["four parallel circuits", round(data["fragmented"], 1)]],
+        [["one shared circuit", round(results["aggregated"], 1)],
+         ["four parallel circuits", round(results["fragmented"], 1)]],
         title=(f"Ablation — aggregation: {NUM_REQUESTS} requests × {PAIRS} "
-               "pairs between A0 and B0"))
+               f"pairs between A0 and B0, mean of seeds {SEEDS}"))
     write_result("ablation_aggregation", table)
 
 
-def test_aggregation_outperforms_fragmentation(benchmark, results):
+def test_aggregation_outperforms_fragmentation(results):
     assert results["aggregated"] < results["fragmented"]

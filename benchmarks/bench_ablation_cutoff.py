@@ -11,8 +11,9 @@ Compares three strategies on a 3-node chain with deliberately short memory
 * **none** — no cutoff, deliver everything.
 
 Measured: useful throughput (pairs above threshold per second) and mean
-delivered fidelity.  Asserted: the cutoff yields at least the oracle's
-useful throughput, and "none" delivers garbage fidelity.
+delivered fidelity, averaged over ``figutils.SEEDS``.  Asserted: the
+cutoff yields at least the oracle's useful throughput, and "none" delivers
+garbage fidelity.
 """
 
 import pytest
@@ -23,16 +24,16 @@ from repro.hardware import SIMULATION
 from repro.netsim.units import MS, S
 from repro.network.builder import build_chain_network
 
-from figutils import scale, write_result
+from figutils import SEEDS, seed_mean, write_result
 
 T2_S = 0.05
 LINK_FIDELITY = 0.92
 TARGET = 0.8
 CUTOFF = 5 * MS
-SIM_SECONDS = scale(quick=8.0, full=30.0)
+SIM_SECONDS = 30.0
 
 
-def run_variant(cutoff, oracle_threshold, seed=4) -> dict:
+def run_variant(cutoff, oracle_threshold, seed: int) -> dict:
     net = build_chain_network(3, seed=seed,
                               params=SIMULATION.with_t2(T2_S * S))
     circuit_id = net.establish_circuit_manual(
@@ -54,38 +55,40 @@ def run_variant(cutoff, oracle_threshold, seed=4) -> dict:
 
 @pytest.fixture(scope="module")
 def variants():
-    return {
-        "cutoff": run_variant(cutoff=CUTOFF, oracle_threshold=None),
-        "oracle": run_variant(cutoff=None, oracle_threshold=TARGET),
-        "none": run_variant(cutoff=None, oracle_threshold=None),
-    }
+    results = {}
+    for name, cutoff, oracle_threshold in (("cutoff", CUTOFF, None),
+                                           ("oracle", None, TARGET),
+                                           ("none", None, None)):
+        results[name] = seed_mean([run_variant(cutoff, oracle_threshold, seed)
+                                   for seed in SEEDS])
+    return results
 
 
-def test_ablation_cutoff(benchmark, variants):
-    results = benchmark.pedantic(lambda: variants, rounds=1, iterations=1)
+def test_ablation_cutoff(variants):
     rows = [[name,
              round(data["useful_tp"], 2),
              round(data["delivered_tp"], 2),
              round(data["mean_fidelity"], 3)]
-            for name, data in results.items()]
+            for name, data in variants.items()]
     table = render_table(
         ["strategy", "useful tp (pairs/s ≥ F)", "accepted tp (pairs/s)",
          "mean fidelity"],
         rows,
         title=(f"Ablation — cutoff vs oracle vs none "
-               f"(T2*={T2_S}s, link F={LINK_FIDELITY}, target F={TARGET})"))
+               f"(T2*={T2_S}s, link F={LINK_FIDELITY}, target F={TARGET}), "
+               f"mean of seeds {SEEDS}"))
     write_result("ablation_cutoff", table)
 
 
-def test_cutoff_at_least_matches_oracle(benchmark, variants):
+def test_cutoff_at_least_matches_oracle(variants):
     """Sec 5.2: the cutoff beats the physically impossible oracle."""
     assert variants["cutoff"]["useful_tp"] >= variants["oracle"]["useful_tp"]
 
 
-def test_no_cutoff_fidelity_collapses(benchmark, variants):
+def test_no_cutoff_fidelity_collapses(variants):
     assert variants["none"]["mean_fidelity"] < variants["cutoff"]["mean_fidelity"]
     assert variants["none"]["mean_fidelity"] < TARGET
 
 
-def test_cutoff_delivers_above_threshold(benchmark, variants):
+def test_cutoff_delivers_above_threshold(variants):
     assert variants["cutoff"]["mean_fidelity"] >= TARGET - 0.05

@@ -13,7 +13,8 @@ Three panels:
 
 Asserted shapes: throughput increases with T2*; the F=0.9 circuit suffers
 more; the cutoff beats the oracle baseline at short lifetimes ("low but not
-zero"); and the delay curve is flat early and collapses late.
+zero"); and the delay curve is flat early and collapses late.  Every point
+runs on each of ``figutils.SEEDS``; throughputs are the seed means.
 """
 
 import pytest
@@ -25,13 +26,12 @@ from repro.hardware import SIMULATION
 from repro.netsim.units import MS, S
 from repro.network.builder import build_dumbbell_network
 
-from figutils import scale, write_result
+from figutils import SEEDS, seed_mean, write_result
 
-T2_SWEEP_S = scale(quick=(0.4, 1.6, 6.4), full=(0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 25.0))
-DELAY_SWEEP_MS = scale(quick=(0.0, 2.0, 10.0, 40.0),
-                       full=(0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0))
-SIM_SECONDS = scale(quick=8.0, full=20.0)
-WARMUP_SECONDS = scale(quick=2.0, full=4.0)
+T2_SWEEP_S = (0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 25.0)
+DELAY_SWEEP_MS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
+SIM_SECONDS = 20.0
+WARMUP_SECONDS = 4.0
 FIDELITIES = {"A0-B0": 0.9, "A1-B1": 0.8}
 
 
@@ -56,7 +56,7 @@ def _measure(net, accepted: dict) -> dict:
             for label, times in accepted.items()}
 
 
-def run_t2_point(t2_s: float, use_cutoff: bool, seed: int = 1) -> dict:
+def run_t2_point(t2_s: float, use_cutoff: bool, seed: int) -> dict:
     """Throughput of both circuits at one memory lifetime."""
     net = _build(t2_s, seed)
     accepted = {}
@@ -85,7 +85,7 @@ def run_t2_point(t2_s: float, use_cutoff: bool, seed: int = 1) -> dict:
     return measured
 
 
-def run_delay_point(delay_ms: float, seed: int = 1) -> dict:
+def run_delay_point(delay_ms: float, seed: int) -> dict:
     """Panel (c): throughput at T2*=1.6 s under injected message delay."""
     net = _build(1.6, seed)
     accepted = {}
@@ -110,22 +110,23 @@ def t2_sweep():
     results = {}
     for t2_s in T2_SWEEP_S:
         results[t2_s] = {
-            "cutoff": run_t2_point(t2_s, use_cutoff=True),
-            "oracle": run_t2_point(t2_s, use_cutoff=False),
+            variant: seed_mean([run_t2_point(t2_s, use_cutoff, seed)
+                                 for seed in SEEDS])
+            for variant, use_cutoff in (("cutoff", True), ("oracle", False))
         }
     return results
 
 
 @pytest.fixture(scope="module")
 def delay_sweep():
-    return {delay: run_delay_point(delay) for delay in DELAY_SWEEP_MS}
+    return {delay: seed_mean([run_delay_point(delay, seed) for seed in SEEDS])
+            for delay in DELAY_SWEEP_MS}
 
 
-def test_fig10ab_throughput_vs_memory_lifetime(benchmark, t2_sweep):
-    results = benchmark.pedantic(lambda: t2_sweep, rounds=1, iterations=1)
+def test_fig10ab_throughput_vs_memory_lifetime(t2_sweep):
     rows = []
     for t2_s in T2_SWEEP_S:
-        point = results[t2_s]
+        point = t2_sweep[t2_s]
         rows.append([t2_s,
                      round(point["cutoff"]["A0-B0"], 2),
                      round(point["oracle"]["A0-B0"], 2),
@@ -137,27 +138,27 @@ def test_fig10ab_throughput_vs_memory_lifetime(benchmark, t2_sweep):
          "F=0.8 cutoff (pairs/s)", "F=0.8 oracle (pairs/s)"],
         rows,
         title=("Fig 10(a,b) — throughput vs memory lifetime; QNP cutoff vs "
-               "no-cutoff + end-node fidelity oracle\n"
+               f"no-cutoff + end-node fidelity oracle, mean of seeds {SEEDS}\n"
                "paper shape: throughput grows with T2*; F=0.9 hit harder; "
                "cutoff ≥ oracle baseline"))
     write_result("fig10ab_decoherence", table)
 
 
-def test_fig10ab_throughput_grows_with_lifetime(benchmark, t2_sweep):
+def test_fig10ab_throughput_grows_with_lifetime(t2_sweep):
     lows = t2_sweep[T2_SWEEP_S[0]]["cutoff"]
     highs = t2_sweep[T2_SWEEP_S[-1]]["cutoff"]
     assert highs["A0-B0"] > lows["A0-B0"]
     assert highs["A1-B1"] >= lows["A1-B1"]
 
 
-def test_fig10ab_high_fidelity_circuit_suffers_more(benchmark, t2_sweep):
+def test_fig10ab_high_fidelity_circuit_suffers_more(t2_sweep):
     """F=0.9 needs slower links and a tighter swap window: lower rate."""
     for t2_s in T2_SWEEP_S:
         point = t2_sweep[t2_s]["cutoff"]
         assert point["A0-B0"] <= point["A1-B1"] + 0.5, (t2_s, point)
 
 
-def test_fig10ab_cutoff_beats_oracle_baseline(benchmark, t2_sweep):
+def test_fig10ab_cutoff_beats_oracle_baseline(t2_sweep):
     """The cutoff outperforms even the physically impossible oracle where
     the mechanism matters: the high-fidelity circuit, whose swap window is
     tight, at every memory lifetime (the paper's Fig 10a emphasis — the
@@ -173,29 +174,29 @@ def test_fig10ab_cutoff_beats_oracle_baseline(benchmark, t2_sweep):
     assert shortest["cutoff"]["A0-B0"] >= 2.0 * shortest["oracle"]["A0-B0"]
 
 
-def test_fig10ab_low_but_not_zero(benchmark, t2_sweep):
+def test_fig10ab_low_but_not_zero(t2_sweep):
     """Paper: 'the F=0.9 with cutoff throughput becomes low, but not zero'."""
     shortest = t2_sweep[T2_SWEEP_S[0]]["cutoff"]
     assert shortest["A0-B0"] > 0.0
 
 
-def test_fig10c_message_delay(benchmark, delay_sweep):
-    results = benchmark.pedantic(lambda: delay_sweep, rounds=1, iterations=1)
-    cutoff_ms = results[DELAY_SWEEP_MS[0]]["cutoff_ms"]
+def test_fig10c_message_delay(delay_sweep):
+    cutoff_ms = delay_sweep[DELAY_SWEEP_MS[0]]["cutoff_ms"]
     rows = [[delay,
-             round(results[delay]["A0-B0"], 2),
-             round(results[delay]["A1-B1"], 2)] for delay in DELAY_SWEEP_MS]
+             round(delay_sweep[delay]["A0-B0"], 2),
+             round(delay_sweep[delay]["A1-B1"], 2)] for delay in DELAY_SWEEP_MS]
     table = render_table(
         ["message delay (ms)", "F=0.9 tp (pairs/s)", "F=0.8 tp (pairs/s)"],
         rows,
         title=(f"Fig 10(c) — throughput vs classical message delay at "
-               f"T2*=1.6 s (qubit cutoff ≈ {cutoff_ms:.1f} ms)\n"
+               f"T2*=1.6 s (qubit cutoff ≈ {cutoff_ms:.1f} ms), mean of seeds "
+               f"{SEEDS}\n"
                "paper shape: flat until the delay approaches the cutoff, "
                "then the delivered pairs fall below threshold"))
     write_result("fig10c_message_delay", table)
 
 
-def test_fig10c_flat_below_cutoff_then_collapse(benchmark, delay_sweep):
+def test_fig10c_flat_below_cutoff_then_collapse(delay_sweep):
     baseline = delay_sweep[DELAY_SWEEP_MS[0]]
     cutoff_ms = baseline["cutoff_ms"]
     small_delays = [d for d in DELAY_SWEEP_MS if d <= cutoff_ms / 4 and d > 0]

@@ -16,8 +16,8 @@ Expected shapes (all asserted):
   near-linear scaling, and generally lowers latency (the routing budget can
   relax per-link fidelities).
 
-Quick scale: 8-pair requests, request counts {1, 2, 4, 8}, one seed.
-REPRO_SCALE=full: 100-pair requests, counts 1..8, three seeds.
+Every point runs 100-pair requests, request counts 1..8, on each of
+``figutils.SEEDS``; the table and the shape assertions use the seed mean.
 """
 
 import pytest
@@ -26,12 +26,11 @@ from repro.analysis import mean, render_table
 from repro.core import UserRequest
 from repro.network.builder import build_dumbbell_network
 
-from figutils import scale, write_result
+from figutils import SEEDS, write_result
 
-PAIRS_PER_REQUEST = scale(quick=8, full=100)
-REQUEST_COUNTS = scale(quick=(1, 2, 4, 8), full=tuple(range(1, 9)))
-SEEDS = scale(quick=(1,), full=(1, 2, 3))
-TIMEOUT_S = scale(quick=900.0, full=3600.0)
+PAIRS_PER_REQUEST = 100
+REQUEST_COUNTS = tuple(range(1, 9))
+TIMEOUT_S = 3600.0
 
 CIRCUIT_SETS = {
     1: [("A0", "B0")],
@@ -77,14 +76,13 @@ def panel_grid():
     return run_panel_grid()
 
 
-def test_fig8_latency_vs_requests(benchmark, panel_grid):
-    results = benchmark.pedantic(lambda: panel_grid, rounds=1, iterations=1)
+def test_fig8_latency_vs_requests(panel_grid):
     rows = []
     for num_requests_index, num_requests in enumerate(REQUEST_COUNTS):
         row = [num_requests]
         for cutoff_policy in ("loss", "short"):
             for num_circuits in (1, 2, 4):
-                row.append(round(results[(cutoff_policy, num_circuits)]
+                row.append(round(panel_grid[(cutoff_policy, num_circuits)]
                                  [num_requests_index], 1))
         rows.append(row)
     table = render_table(
@@ -93,13 +91,13 @@ def test_fig8_latency_vs_requests(benchmark, panel_grid):
          "short/1c (ms)", "short/2c (ms)", "short/4c (ms)"],
         rows,
         title=(f"Fig 8 — mean A0-B0 request latency, {PAIRS_PER_REQUEST} "
-               "pairs/request (paper: 100)\n"
+               f"pairs/request, mean of seeds {SEEDS}\n"
                "paper shape: linear for 1-2 circuits; collapse for 4 "
                "circuits + long cutoff; short cutoff restores scaling"))
     write_result("fig8_latency_circuits", table)
 
 
-def test_fig8_linear_scaling_one_two_circuits(benchmark, panel_grid):
+def test_fig8_linear_scaling_one_two_circuits(panel_grid):
     """(a,b,d,e): latency grows with request count, roughly linearly."""
     for cutoff_policy in ("loss", "short"):
         for num_circuits in (1, 2):
@@ -112,14 +110,14 @@ def test_fig8_linear_scaling_one_two_circuits(benchmark, panel_grid):
                 (cutoff_policy, num_circuits, ratio)
 
 
-def test_fig8_congestion_collapse_four_circuits(benchmark, panel_grid):
+def test_fig8_congestion_collapse_four_circuits(panel_grid):
     """(c): 4 circuits + long cutoff ≫ 2 circuits (congestion collapse)."""
     four_long = panel_grid[("loss", 4)][-1]
     two_long = panel_grid[("loss", 2)][-1]
     assert four_long > 3.0 * two_long, (four_long, two_long)
 
 
-def test_fig8_short_cutoff_restores_scaling(benchmark, panel_grid):
+def test_fig8_short_cutoff_restores_scaling(panel_grid):
     """(f): the short cutoff clears the collapse."""
     four_long = panel_grid[("loss", 4)][-1]
     four_short = panel_grid[("short", 4)][-1]

@@ -68,36 +68,33 @@ def _other_rows():
     ]
 
 
-def test_tables_1_and_2_parameters(benchmark):
-    def render():
-        gate_table = render_table(["parameter", "simulation", "near-term"],
-                                  _gate_rows(),
-                                  title="Table 1 — quantum gate parameters")
-        other_table = render_table(["parameter", "simulation", "near-term"],
-                                   _other_rows(),
-                                   title="Table 2 — other hardware parameters")
+def test_tables_1_and_2_parameters():
+    gate_table = render_table(["parameter", "simulation", "near-term"],
+                              _gate_rows(),
+                              title="Table 1 — quantum gate parameters")
+    other_table = render_table(["parameter", "simulation", "near-term"],
+                               _other_rows(),
+                               title="Table 2 — other hardware parameters")
 
-        lab = SingleClickModel(SIMULATION, HeraldedConnection.lab(0.002))
-        near = SingleClickModel(NEAR_TERM, HeraldedConnection.telecom(25.0))
-        derived = render_table(
-            ["derived quantity", "simulation (2 m)", "near-term (25 km)"],
-            [
-                ["attempt cycle (µs)", round(lab.cycle_time / 1e3, 2),
-                 round(near.cycle_time / 1e3, 2)],
-                ["mean pair time @F=0.8 (ms)",
-                 round(lab.expected_pair_time(
-                     lab.alpha_for_fidelity(0.8)) / 1e6, 2),
-                 round(near.expected_pair_time(
-                     near.alpha_for_fidelity(0.8)) / 1e6, 2)],
-                ["fidelity ceiling",
-                 round(max(lab.fidelity(a) for a in
-                           (0.001, 0.005, 0.02, 0.05)), 4),
-                 round(max(near.fidelity(a) for a in
-                           (0.001, 0.005, 0.02, 0.05, 0.1)), 4)],
-            ],
-            title="Derived link quantities (model outputs)")
-        return "\n\n".join([gate_table, other_table, derived])
-
-    text = benchmark.pedantic(render, rounds=1, iterations=1)
+    lab = SingleClickModel(SIMULATION, HeraldedConnection.lab(0.002))
+    near = SingleClickModel(NEAR_TERM, HeraldedConnection.telecom(25.0))
+    derived = render_table(
+        ["derived quantity", "simulation (2 m)", "near-term (25 km)"],
+        [
+            ["attempt cycle (µs)", round(lab.cycle_time / 1e3, 2),
+             round(near.cycle_time / 1e3, 2)],
+            ["mean pair time @F=0.8 (ms)",
+             round(lab.expected_pair_time(
+                 lab.alpha_for_fidelity(0.8)) / 1e6, 2),
+             round(near.expected_pair_time(
+                 near.alpha_for_fidelity(0.8)) / 1e6, 2)],
+            ["fidelity ceiling",
+             round(max(lab.fidelity(a) for a in
+                       (0.001, 0.005, 0.02, 0.05)), 4),
+             round(max(near.fidelity(a) for a in
+                       (0.001, 0.005, 0.02, 0.05, 0.1)), 4)],
+        ],
+        title="Derived link quantities (model outputs)")
+    text = "\n\n".join([gate_table, other_table, derived])
     write_result("tables_1_2_parameters", text)
     assert "0.998" in text and "0.992" in text

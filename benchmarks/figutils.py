@@ -1,27 +1,31 @@
 """Shared utilities for the figure-reproduction benchmarks.
 
 Every benchmark regenerates one table/figure of the paper as an aligned
-text table, printed to stdout and written to ``benchmarks/results/``.
+text table, printed to stdout and written to ``benchmarks/results/``, and
+asserts the paper's shape on it.  The modules run as one pytest suite
+(README, "Tests and benchmarks"); each module's sweep runs once, in a
+module-scoped fixture, so ``--dist loadfile`` keeps it in one worker.
 
-Scale: by default the benchmarks run a reduced workload (fewer pairs,
-fewer seeds, fewer sweep points) so the whole suite finishes in minutes.
-Set ``REPRO_SCALE=full`` for paper-scale runs (100-pair requests, more
-seeds) — same code, longer sweeps.
+Every randomised benchmark runs each point on the same :data:`SEEDS`.  A
+claim about a mean (latency, throughput, fidelity) is asserted on the
+mean over the seeds; a claim about every run is asserted on each seed.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
+
+from repro.analysis import mean
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-FULL_SCALE = os.environ.get("REPRO_SCALE", "quick").lower() == "full"
+#: The seeds every randomised figure benchmark runs.
+SEEDS = (1, 2, 3)
 
 
-def scale(quick, full):
-    """Pick a workload parameter by scale."""
-    return full if FULL_SCALE else quick
+def seed_mean(runs: list[dict]) -> dict:
+    """Key-wise mean of one result dict per seed."""
+    return {key: mean([run[key] for run in runs]) for key in runs[0]}
 
 
 def write_result(name: str, text: str) -> None:
@@ -31,9 +35,3 @@ def write_result(name: str, text: str) -> None:
     path.write_text(text + "\n")
     print()
     print(text)
-
-
-def steady_state_window(total_s: float, warmup_fraction: float = 0.5
-                        ) -> tuple[float, float]:
-    """Measurement window in ns, skipping the warm-up."""
-    return total_s * warmup_fraction * 1e9, total_s * 1e9

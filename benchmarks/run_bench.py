@@ -1,19 +1,19 @@
 #!/usr/bin/env python
 """Perf-trajectory harness: micro benchmarks on both state backends.
 
-Runs the engine micro benchmarks (the ops behind ``bench_micro_engine.py``)
-on the exact density-matrix formalism *and* the Bell-diagonal formalism and
-writes ``BENCH_<rev>.json`` (median ns per op, plus the bell-vs-dm speedup
-ratios) so the performance trajectory is tracked across PRs.  The two
-formalisms of a ratio op are timed in alternating batches, and the ratio
-is the median of the per-round ratios, so host drift during the run does
-not land on one side only::
+Runs the engine micro benchmarks on the exact density-matrix formalism
+*and* the Bell-diagonal formalism and writes ``BENCH_<rev>.json`` (median
+ns per op, plus the bell-vs-dm speedup ratios) so the performance
+trajectory is tracked across PRs.  The two formalisms of a ratio op are
+timed in alternating batches, and the ratio is the median of the
+per-round ratios, so host drift during the run does not land on one side
+only::
 
     PYTHONPATH=src python benchmarks/run_bench.py            # BENCH_<git rev>.json
     PYTHONPATH=src python benchmarks/run_bench.py --out x.json --rounds 9
 
-No pytest-benchmark dependency: plain ``perf_counter_ns`` medians, which is
-what the JSON trail needs (comparable numbers, not statistics).
+Timings are plain ``perf_counter_ns`` medians, which is what the JSON
+trail needs (comparable numbers, not statistics).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _batch_timer(fn, iterations: int):
 
 
 # ----------------------------------------------------------------------
-# Benchmark bodies (mirror bench_micro_engine.py without the pytest layer)
+# Benchmark bodies
 # ----------------------------------------------------------------------
 
 def bench_decoherence_channel():

@@ -68,8 +68,9 @@ class Policer:
             self._activate(request)
             self.accepted_count += 1
             return PolicerDecision.ACCEPT
-        # Fits eventually: shape.  Deadline feasibility is re-checked when
-        # the request reaches the head of the queue.
+        # Fits eventually: shape.  Queued requests start in FIFO order once
+        # the head's EER fits (``next_startable``); a request's deadline is
+        # not checked while it waits.
         self._queue.append(request)
         self.queued_count += 1
         return PolicerDecision.QUEUE
@@ -90,7 +91,7 @@ class Policer:
         return None
 
     def drop_queued(self, request_id: str) -> bool:
-        """Remove a queued request (deadline passed while shaped)."""
+        """Remove a queued request (cancelled or aborted while shaped)."""
         for request in list(self._queue):
             if request.request_id == request_id:
                 self._queue.remove(request)

@@ -40,10 +40,6 @@ class DeviceArbiter(Entity):
         return self._busy
 
     @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    @property
     def mean_wait(self) -> float:
         """Mean queueing delay per grant (ns; 0 when nothing was granted)."""
         return self.total_wait / self.grants if self.grants else 0.0

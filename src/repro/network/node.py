@@ -76,13 +76,6 @@ class QuantumNode(Entity, Component):
         self.link_neighbour[link.name] = neighbour
         self.qmm.register_link(link.name, self.params.comm_qubits_per_link)
 
-    def link_to(self, neighbour: str) -> Any:
-        """The link object connecting this node to a neighbour."""
-        for link_name, other in self.link_neighbour.items():
-            if other == neighbour:
-                return self.links[link_name]
-        raise KeyError(f"{self.name}: no link to {neighbour}")
-
     # ------------------------------------------------------------------
     # Classical communication
     # ------------------------------------------------------------------

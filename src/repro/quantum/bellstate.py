@@ -156,11 +156,6 @@ class BellPairState:
         if p > 0:
             self.weights = _depolarized(self.weights, p)
 
-    def apply_two_qubit_depolarizing(self, p: float) -> None:
-        """Two-qubit depolarizing noise across the pair (gate error model)."""
-        if p > 0:
-            self.weights = _two_qubit_depolarized(self.weights, p)
-
     def apply_decoherence(self, elapsed: float, t1: float, t2: float,
                           qubit: Qubit) -> None:
         """T1/T2 memory channel on one qubit for ``elapsed`` ns.
@@ -295,7 +290,7 @@ def _depolarized(weights: np.ndarray, p: float) -> np.ndarray:
 
 def _two_qubit_depolarized(weights: np.ndarray, p: float) -> np.ndarray:
     """Two-qubit depolarizing closed form on Bell weights (shared by the
-    channel, the swap and the DEJMPS fast paths).
+    swap and the DEJMPS fast paths).
 
     Each non-identity Pauli pair (probability p/15) XOR-shifts the weights,
     and the average over all 16 pairs is uniform, so the channel is

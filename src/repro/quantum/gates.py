@@ -113,15 +113,3 @@ def rz(theta: float) -> np.ndarray:
 #: round.
 RX_PLUS_SUPEROP = superoperator(rx(np.pi / 2))
 RX_MINUS_SUPEROP = superoperator(rx(-np.pi / 2))
-
-
-def pauli_frame_gate(frame_index: int) -> np.ndarray:
-    """The Pauli operator for a packed two-bit frame index."""
-    return PAULI_FRAME[int(frame_index) & 0b11]
-
-
-def is_unitary(matrix: np.ndarray, tol: float = 1e-9) -> bool:
-    """Check unitarity (used by tests and input validation)."""
-    matrix = np.asarray(matrix)
-    identity = np.eye(matrix.shape[0])
-    return bool(np.allclose(matrix @ matrix.conj().T, identity, atol=tol))
