@@ -9,7 +9,8 @@ Four pillars:
   topologies, fault injection and apps;
 * **crash injection** — SIGKILL a real CLI subprocess mid-run, resume
   from the last durable checkpoint, and check no confirmed pair was
-  duplicated or lost and the snapshot counter stream stayed monotone;
+  duplicated or lost, the snapshot counter stream stayed monotone, and
+  the final histograms and rendered report equal the uninterrupted run's;
 * **round-trip properties** — the stateful primitives a checkpoint
   carries (per-link numpy RNG block buffers, the scheduler heap, Bell
   pair states) continue identically after a pickle round trip;
@@ -135,6 +136,12 @@ class TestResumeEquivalence:
 # Crash injection: SIGKILL a CLI soak, resume from the durable file
 # ----------------------------------------------------------------------
 
+def _report(stdout: str) -> str:
+    """The rendered report in ``traffic`` CLI output: from the first blank
+    line to the metrics-file notice."""
+    return stdout.split("\n\n", 1)[1].split("\n\nmetrics snapshots")[0]
+
+
 class TestCrashInjection:
     CLI = ["-m", "repro", "traffic", "--topology", "grid", "--size", "3",
            "--circuits", "3", "--load", "0.5", "--formalism", "bell",
@@ -151,11 +158,11 @@ class TestCrashInjection:
         # Reference: the same soak, uninterrupted (checkpointing stays
         # on so both runs schedule the identical event stream).
         ref_metrics = tmp_path / "ref.jsonl"
-        subprocess.run(
+        ref = subprocess.run(
             [sys.executable, *self.CLI,
              "--checkpoint-out", str(tmp_path / "ref.ckpt"),
              "--metrics-out", str(ref_metrics)],
-            check=True, env=env, cwd=tmp_path, capture_output=True)
+            check=True, env=env, cwd=tmp_path, capture_output=True, text=True)
         # Victim: kill -9 as soon as the first durable checkpoint lands.
         ckpt = tmp_path / "run.ckpt"
         metrics = tmp_path / "run.jsonl"
@@ -189,6 +196,12 @@ class TestCrashInjection:
         assert (frames[-1]["counters"]["traffic.pairs_confirmed"]
                 == ref_frames[-1]["counters"]["traffic.pairs_confirmed"])
         assert frames[-1]["counters"] == ref_frames[-1]["counters"]
+        # The histograms crossed the checkpoint pickled: the resumed run's
+        # distributions end exactly where the uninterrupted run's end.
+        assert frames[-1]["hists"] == ref_frames[-1]["hists"]
+        # So does the rendered report, whole-run throughput included.
+        assert _report(done.stdout) == _report(ref.stdout)
+        assert "throughput" in _report(ref.stdout)
         # The reattached emitter truncated any post-checkpoint frames,
         # so every counter series stays monotone across the splice.
         for earlier, later in zip(frames, frames[1:]):
