@@ -5,7 +5,10 @@ threshold) over a linear three-node network with 25 km spacing, using the
 near-term parameter column of Tables 1–2: a single communication qubit per
 node (one link active at a time), carbon storage with nuclear dephasing
 during entanglement attempts, telecom-converted photons.  Routing tables
-are populated manually and the cutoff hand-tuned, exactly as in Sec 5.3.
+are populated manually, as in Sec 5.3.  The cutoff is not hand-tuned but
+derived: the longest window for which the controller's worst-case
+budget (both link pairs aged a full window, then the swap) still reaches
+the witness threshold.
 
 Asserted shape, on each of ``figutils.SEEDS``: all 10 pairs arrive as a
 staircase over tens of simulated seconds, and the delivered pairs
@@ -23,8 +26,32 @@ from figutils import SEEDS, write_result
 
 NUM_PAIRS = 10
 LINK_FIDELITY = 0.8
-CUTOFF_S = 3.0
+WITNESS_FIDELITY = 0.5
 TIMEOUT_S = 900.0
+
+
+def derived_cutoff(net) -> float:
+    """The largest cutoff window (ns) whose worst-case end-to-end
+    fidelity on the 2-link chain stays >= ``WITNESS_FIDELITY``.
+
+    The worst case falls monotonically with the window, so bisect it
+    between no storage at all and a window it cannot meet.
+    """
+    model = net.link_between("node0", "node1").model
+
+    def worst_case(window: float) -> float:
+        return net.controller._worst_case_fidelity(model, LINK_FIDELITY, 2,
+                                                   window)
+
+    low, high = 0.0, 60 * S
+    assert worst_case(low) >= WITNESS_FIDELITY > worst_case(high)
+    for _ in range(60):
+        mid = (low + high) / 2
+        if worst_case(mid) >= WITNESS_FIDELITY:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 def run_near_term(seed: int) -> dict:
@@ -32,7 +59,7 @@ def run_near_term(seed: int) -> dict:
     circuit_id = net.establish_circuit_manual(
         path=["node0", "node1", "node2"],
         link_fidelity=LINK_FIDELITY,
-        cutoff=CUTOFF_S * S,
+        cutoff=derived_cutoff(net),
         max_eer=5.0,
         estimated_fidelity=0.55,
     )
@@ -83,7 +110,8 @@ def test_fig11_timescale_is_tens_of_seconds(near_term_runs):
 def test_fig11_pairs_demonstrate_entanglement(near_term_runs):
     for seed, run in near_term_runs.items():
         fidelities = [fidelity for _, fidelity in run["arrivals"]]
-        above = sum(1 for fidelity in fidelities if fidelity > 0.5)
+        above = sum(1 for fidelity in fidelities
+                    if fidelity > WITNESS_FIDELITY)
         assert above >= NUM_PAIRS - 2, (seed, fidelities)
 
 

@@ -45,11 +45,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-import networkx as nx
 import numpy as np
 
 from ..hardware.heralded import SingleClickModel
 from ..netsim.units import S
+from ..network.graph import Graph, NoPathError, shortest_simple_paths
 from ..quantum.bell import BellIndex
 from ..quantum.channels import decoherence_kraus
 from ..quantum.fidelity import bell_fidelity
@@ -138,7 +138,7 @@ _CEILING_CACHE: dict[tuple, float] = {}
 class CentralController:
     """Centralised routing: k-path candidates, metrics, fidelity budgets."""
 
-    def __init__(self, graph: nx.Graph, links: dict, memory_t1: float,
+    def __init__(self, graph: Graph, links: dict, memory_t1: float,
                  memory_t2: float, ops: NoisyOpParams, metric: str = "hops",
                  k_paths: int = DEFAULT_K_PATHS):
         """``links`` maps ``frozenset({u, v})`` → :class:`~repro.linklayer.egp.Link`.
@@ -188,7 +188,6 @@ class CentralController:
                              f"(have: {', '.join(PATH_METRICS)})")
         if not 0.5 <= target_fidelity < 1.0:
             raise RouteError(f"target fidelity {target_fidelity} must be in [0.5, 1)")
-        graph = self._working_graph()
 
         def candidates():
             # Lazy: the 'hops' metric stops after the first feasible
@@ -196,9 +195,10 @@ class CentralController:
             # k_paths up front.
             try:
                 yield from itertools.islice(
-                    nx.shortest_simple_paths(graph, head, tail),
+                    shortest_simple_paths(self.graph, head, tail,
+                                          ignore_edges=map(tuple, self._down)),
                     self.k_paths)
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+            except NoPathError as exc:
                 raise RouteError(
                     f"no usable path from {head} to {tail}") from exc
 
@@ -281,13 +281,6 @@ class CentralController:
     def link_is_up(self, edge: frozenset) -> bool:
         """Whether the controller believes a link is usable."""
         return frozenset(edge) not in self._down
-
-    def _working_graph(self) -> nx.Graph:
-        """The topology minus links currently marked down."""
-        if not self._down:
-            return self.graph
-        return nx.restricted_view(self.graph, [],
-                                  [tuple(edge) for edge in self._down])
 
     # ------------------------------------------------------------------
     # Candidate solving and scoring

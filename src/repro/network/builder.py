@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-import networkx as nx
-
 from ..control.liveness import LivenessAgent
 from ..control.routing import CentralController, RouteComputation
 from ..control.signalling import SignallingAgent
@@ -49,6 +47,7 @@ from ..netsim.units import (
 from ..quantum.backends import Backend, get_backend
 from ..quantum.fidelity import pair_fidelity
 from ..quantum.operations import NoisyOpParams, discard
+from .graph import Graph, is_connected
 from .node import QuantumNode
 
 
@@ -133,7 +132,7 @@ class Network:
         self.signalling: dict[str, SignallingAgent] = {}
         self.liveness: dict[str, LivenessAgent] = {}
         self.controller: Optional[CentralController] = None
-        self._graph = nx.Graph()
+        self._graph = Graph()
         self._circuit_meta: dict[str, dict] = {}
         self._identifier_counter = 0
         #: Optional causal span tracer (set by ``attach_tracer`` — see
@@ -244,7 +243,7 @@ class Network:
         return self.backend.name
 
     @property
-    def graph(self) -> nx.Graph:
+    def graph(self) -> Graph:
         """The wired topology (read-only view used by traffic tooling)."""
         return self._graph
 
@@ -699,7 +698,7 @@ class Network:
 # Canonical topologies
 # ----------------------------------------------------------------------
 
-def build_network_from_graph(graph: nx.Graph, length_km: float = 0.002,
+def build_network_from_graph(graph: Graph, length_km: float = 0.002,
                              params: HardwareParams = SIMULATION,
                              seed: int = 0, slice_attempts: int = 100,
                              formalism: str | Backend = "dm",
@@ -711,14 +710,14 @@ def build_network_from_graph(graph: nx.Graph, length_km: float = 0.002,
     The generic entry point behind the topology catalogue
     (:mod:`repro.traffic.topologies`): every graph node becomes a quantum
     node (names are ``str(node)``) and every edge a heralded link plus a
-    classical channel.  Nodes and edges are added in sorted order so the
-    wiring — and therefore the event schedule — is deterministic for a
-    given graph and seed.
+    classical channel.  ``graph`` is any object with ``nodes`` and
+    ``edges`` (a :class:`~repro.network.graph.Graph`, or a networkx
+    graph).  Nodes and edges are added in sorted order so the wiring —
+    and therefore the event schedule — is deterministic for a given
+    graph and seed.
     """
-    if graph.number_of_nodes() < 2:
+    if len(graph.nodes) < 2:
         raise ValueError("a network needs at least two nodes")
-    if not nx.is_connected(graph):
-        raise ValueError("the topology graph must be connected")
     names = {node: str(node) for node in graph.nodes}
     if len(set(names.values())) != len(names):
         raise ValueError("node names collide after str() conversion")
@@ -730,6 +729,8 @@ def build_network_from_graph(graph: nx.Graph, length_km: float = 0.002,
                                  key=lambda edge: tuple(sorted(map(str, edge)))):
         net.connect(names[edge_a], names[edge_b], length_km,
                     attenuation=attenuation, slice_attempts=slice_attempts)
+    if not is_connected(net.graph):
+        raise ValueError("the topology graph must be connected")
     net.finalise()
     return net
 

@@ -7,8 +7,8 @@ density matrix.  Every operation the protocol stack performs on link pairs
 Bell-state measurements (entanglement swaps) and single-qubit measurements —
 maps to O(1) arithmetic on those four numbers, replacing the exact engine's
 O(4^n) tensor contractions.  The closed forms are the ones of
-:mod:`repro.quantum.analytic`, which the property tests pin against the
-exact engine.
+the test oracle ``tests/analytic.py``, which the property tests pin
+against the exact engine.
 
 Each state owns its weights as a length-4 float64 array in the ``weights``
 slot.  Every channel computes a fresh array and rebinds ``weights``; no

@@ -4,35 +4,38 @@ The paper evaluates the QNP on hand-built chains and the Fig 7 dumbbell;
 routing and benchmarking studies of quantum networks sweep much richer
 shapes — grids and random graphs (Shi & Qian, arXiv:1909.09329), Waxman
 graphs (the classic internet-topology model) and trees.  This module
-generates those families as :mod:`networkx` graphs and wires them into
-full :class:`~repro.network.builder.Network` stacks through
+generates those families and wires them into full
+:class:`~repro.network.builder.Network` stacks through
 :func:`~repro.network.builder.build_network_from_graph`.
 
 Every generator is deterministic in ``(size, seed)``; random families
 (Erdős–Rényi, Waxman) are post-processed into a single connected
-component so every endpoint pair is routable.
+component so every endpoint pair is routable.  The random families draw
+from ``random.Random(seed)`` in the same order as networkx's
+``gnp_random_graph`` and ``waxman_graph``, so they give the same edge
+sets.
 
 The ``TOPOLOGIES`` registry maps catalogue names (the CLI's
-``--topology`` choices) to ``(size, seed) -> nx.Graph`` builders.
+``--topology`` choices) to ``(size, seed) -> Graph`` builders.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Callable
 
-import networkx as nx
-
 from ..hardware.parameters import HardwareParams, SIMULATION
 from ..network.builder import Network, build_network_from_graph
+from ..network.graph import Graph, connected_components
 
 
-def grid_graph(size: int, seed: int = 0) -> nx.Graph:
+def grid_graph(size: int, seed: int = 0) -> Graph:
     """A ``size × size`` square lattice (nodes ``g<row>x<col>``)."""
     if size < 2:
         raise ValueError("a grid needs size >= 2")
-    graph = nx.Graph()
+    graph = Graph()
     for row in range(size):
         for col in range(size):
             name = f"g{row}x{col}"
@@ -44,11 +47,11 @@ def grid_graph(size: int, seed: int = 0) -> nx.Graph:
     return graph
 
 
-def ring_graph(size: int, seed: int = 0) -> nx.Graph:
+def ring_graph(size: int, seed: int = 0) -> Graph:
     """A cycle of ``size`` nodes (nodes ``r<i>``)."""
     if size < 3:
         raise ValueError("a ring needs size >= 3")
-    graph = nx.Graph()
+    graph = Graph()
     names = [f"r{i}" for i in range(size)]
     for left, right in zip(names, names[1:] + names[:1]):
         graph.add_edge(left, right)
@@ -56,7 +59,7 @@ def ring_graph(size: int, seed: int = 0) -> nx.Graph:
 
 
 def star_of_chains_graph(size: int, seed: int = 0,
-                         arm_length: int = 2) -> nx.Graph:
+                         arm_length: int = 2) -> Graph:
     """``size`` repeater chains of ``arm_length`` hops meeting at a hub.
 
     Models a metropolitan exchange: end-nodes at the arm tips, repeaters
@@ -67,7 +70,7 @@ def star_of_chains_graph(size: int, seed: int = 0,
         raise ValueError("a star needs at least two arms")
     if arm_length < 1:
         raise ValueError("arms need at least one hop")
-    graph = nx.Graph()
+    graph = Graph()
     for arm in range(size):
         previous = "hub"
         for depth in range(arm_length):
@@ -78,7 +81,7 @@ def star_of_chains_graph(size: int, seed: int = 0,
 
 
 def erdos_renyi_graph(size: int, seed: int = 0,
-                      p: float | None = None) -> nx.Graph:
+                      p: float | None = None) -> Graph:
     """A G(n, p) random graph, forced connected (nodes ``n<i>``).
 
     ``p`` defaults to ``2 ln(n) / n`` — comfortably above the
@@ -89,36 +92,55 @@ def erdos_renyi_graph(size: int, seed: int = 0,
         raise ValueError("an Erdős–Rényi graph needs size >= 2")
     if p is None:
         p = min(1.0, 2.0 * math.log(max(size, 2)) / size)
-    graph = nx.gnp_random_graph(size, p, seed=seed)
-    graph = nx.relabel_nodes(graph, {i: f"n{i}" for i in range(size)})
+    rng = random.Random(seed)
+    graph = _empty_graph("n", size)
+    for u, v in itertools.combinations(range(size), 2):
+        if rng.random() < p:
+            graph.add_edge(f"n{u}", f"n{v}")
     return _ensure_connected(graph, random.Random(seed))
 
 
 def waxman_graph(size: int, seed: int = 0, beta: float = 0.6,
-                 alpha: float = 0.4) -> nx.Graph:
+                 alpha: float = 0.4) -> Graph:
     """A Waxman spatial random graph, forced connected (nodes ``w<i>``)."""
     if size < 2:
         raise ValueError("a Waxman graph needs size >= 2")
-    graph = nx.waxman_graph(size, beta=beta, alpha=alpha, seed=seed)
-    for node in graph.nodes:
-        graph.nodes[node].clear()  # drop positions: str names are the identity
-    graph = nx.relabel_nodes(graph, {i: f"w{i}" for i in range(size)})
+    # Waxman-1 in the unit square: join u, v with probability
+    # beta * exp(-d(u, v) / (alpha * L)), L the largest distance.
+    rng = random.Random(seed)
+    pos = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(size)]
+    longest = max(math.dist(a, b) for a, b in itertools.combinations(pos, 2))
+    graph = _empty_graph("w", size)
+    for u, v in itertools.combinations(range(size), 2):
+        if rng.random() < beta * math.exp(-math.dist(pos[u], pos[v])
+                                          / (alpha * longest)):
+            graph.add_edge(f"w{u}", f"w{v}")
     return _ensure_connected(graph, random.Random(seed))
 
 
-def tree_graph(size: int, seed: int = 0, branching: int = 2) -> nx.Graph:
+def tree_graph(size: int, seed: int = 0, branching: int = 2) -> Graph:
     """A balanced tree of height ``size`` (nodes ``t<i>``)."""
     if size < 1:
         raise ValueError("a tree needs height >= 1")
-    graph = nx.balanced_tree(branching, size)
-    return nx.relabel_nodes(graph,
-                            {i: f"t{i}" for i in range(graph.number_of_nodes())})
+    total = (size + 1 if branching == 1
+             else (1 - branching ** (size + 1)) // (1 - branching))
+    graph = _empty_graph("t", total)
+    for child in range(1, total):  # breadth-first numbering, root t0
+        graph.add_edge(f"t{(child - 1) // branching}", f"t{child}")
+    return graph
 
 
-def _ensure_connected(graph: nx.Graph, rng: random.Random) -> nx.Graph:
+def _empty_graph(prefix: str, size: int) -> Graph:
+    graph = Graph()
+    for i in range(size):
+        graph.add_node(f"{prefix}{i}")
+    return graph
+
+
+def _ensure_connected(graph: Graph, rng: random.Random) -> Graph:
     """Stitch components together with deterministic extra edges."""
     components = sorted((sorted(component) for component
-                         in nx.connected_components(graph)),
+                         in connected_components(graph)),
                         key=lambda component: component[0])
     for previous, current in zip(components, components[1:]):
         graph.add_edge(rng.choice(previous), rng.choice(current))
@@ -126,7 +148,7 @@ def _ensure_connected(graph: nx.Graph, rng: random.Random) -> nx.Graph:
 
 
 #: Catalogue name → seeded graph builder (the CLI's ``--topology`` choices).
-TOPOLOGIES: dict[str, Callable[..., nx.Graph]] = {
+TOPOLOGIES: dict[str, Callable[..., Graph]] = {
     "grid": grid_graph,
     "ring": ring_graph,
     "star": star_of_chains_graph,
@@ -136,7 +158,7 @@ TOPOLOGIES: dict[str, Callable[..., nx.Graph]] = {
 }
 
 
-def topology_graph(kind: str, size: int, seed: int = 0, **kwargs) -> nx.Graph:
+def topology_graph(kind: str, size: int, seed: int = 0, **kwargs) -> Graph:
     """Generate a catalogue topology as a graph."""
     try:
         builder = TOPOLOGIES[kind]

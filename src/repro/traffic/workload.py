@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-import networkx as nx
-
 from ..analysis.stats import mean
 from ..analysis.tracing import attach_tracer
 from ..apps import AppContext, get_app
@@ -52,6 +50,7 @@ from ..core.requests import (
 )
 from ..netsim.units import S
 from ..network.builder import Network
+from ..network.graph import bfs_lengths
 from ..obs.snapshots import SnapshotEmitter
 from .arrivals import (
     DEFAULT_CLASSES,
@@ -404,8 +403,8 @@ class TrafficEngine:
         nodes = sorted(graph.nodes)
         # Bound each BFS at max_hops: nodes beyond the cutoff are simply
         # absent from the inner maps (and were never candidates anyway).
-        lengths = dict(nx.all_pairs_shortest_path_length(
-            graph, cutoff=self.max_hops))
+        lengths = {node: bfs_lengths(graph, node, cutoff=self.max_hops)
+                   for node in nodes}
 
         def partners(head: str, used: set) -> list[str]:
             return [b for b in nodes

@@ -1,9 +1,9 @@
-"""Closed-form Bell-diagonal analytics.
+"""Closed-form Bell-diagonal analytics: a test oracle.
 
-Fast, dependency-free predictions for the quantities the control plane
-cares about — used for sanity cross-checks against the exact
-density-matrix engine (the property tests pin them to each other) and
-handy for back-of-envelope planning without running a simulation.
+Closed-form predictions for the quantities the control plane cares
+about.  No simulation code uses them; ``test_quantum_analytic.py`` pins
+them to the exact density-matrix engine and ``test_backends.py`` pins the
+Bell-diagonal backend to them.
 
 All formulas operate on Bell-diagonal states written as weight vectors
 ``(p0, p1, p2, p3)`` over the Bell basis of :mod:`repro.quantum.bell`

@@ -3,7 +3,7 @@
 The ``bell`` formalism claims exactness on the QNP hot path (Bell-diagonal
 states under dephasing, depolarizing gate noise, entanglement swaps and
 Pauli-basis measurements).  These tests enforce that claim against the
-density-matrix engine and the closed forms of ``repro.quantum.analytic``,
+density-matrix engine and the closed forms of ``tests/analytic.py``,
 plus the regression guarantees of the hot-path caches (memoized Kraus
 operators and transpose permutations must never be mutated).
 """
@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.quantum import analytic
+import analytic
 from repro.quantum.backends import (
     BellDiagonalBackend,
     DensityMatrixBackend,

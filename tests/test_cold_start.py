@@ -2,7 +2,8 @@
 
 Three things keep a fresh process cheap before its first pair:
 
-* no module of ``repro`` imports scipy (18 MB RSS and ~0.3 s per process);
+* no module of ``repro`` imports scipy (18 MB RSS and ~0.3 s per process)
+  or networkx (18 MB RSS and ~0.1 s per process);
 * the route solve's swap kernel is real, so the solve never takes the
   BLAS's multi-threaded complex mat-vec path;
 * superoperators and merged states come from one broadcast product instead
@@ -49,13 +50,14 @@ net = build_topology("grid", 3, seed=7, formalism="dm")
 report = TrafficEngine(net, circuits=2, load=0.5, seed=7).run(
     horizon_s=0.2, drain_s=0.2)
 assert report.total_confirmed_pairs > 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("scipy", "networkx")))
 """
 
 
 def test_no_scipy_in_the_process():
     """Importing the package surfaces and running a 2-circuit grid scenario
-    loads no scipy module."""
+    loads no scipy or networkx module."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))

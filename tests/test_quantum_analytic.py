@@ -16,7 +16,7 @@ from repro.quantum import (
     Qubit,
     werner_dm,
 )
-from repro.quantum.analytic import (
+from analytic import (
     chain_fidelity,
     chain_weights,
     dephased_weights,

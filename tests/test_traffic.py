@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.requests import RequestStatus
 from repro.network.builder import build_network_from_graph
+from repro.network.graph import is_connected
 from repro.traffic import (
     DEFAULT_CLASSES,
     TOPOLOGIES,
@@ -34,7 +35,7 @@ from repro.traffic.arrivals import (
 ])
 def test_catalogue_graphs_connected_and_deterministic(kind, size):
     graph = topology_graph(kind, size, seed=4)
-    assert nx.is_connected(graph)
+    assert is_connected(graph)
     assert graph.number_of_nodes() >= 2
     assert all(isinstance(node, str) for node in graph.nodes)
     again = topology_graph(kind, size, seed=4)
@@ -45,7 +46,7 @@ def test_catalogue_expected_shapes():
     assert topology_graph("grid", 4).number_of_nodes() == 16
     assert topology_graph("ring", 7).number_of_edges() == 7
     star = topology_graph("star", 3)
-    assert star.degree["hub"] == 3
+    assert len(list(star.neighbors("hub"))) == 3
     assert star.number_of_nodes() == 7  # hub + 3 arms x 2
     tree = topology_graph("tree", 2)
     assert tree.number_of_nodes() == 7  # balanced binary, height 2
