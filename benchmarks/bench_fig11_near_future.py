@@ -11,8 +11,11 @@ budget (both link pairs aged a full window, then the swap) still reaches
 the witness threshold.
 
 Asserted shape, on each of ``figutils.SEEDS``: all 10 pairs arrive as a
-staircase over tens of simulated seconds, and the delivered pairs
-demonstrate entanglement (F > 0.5).
+staircase, and the delivered pairs demonstrate entanglement (F > 0.5).
+The paper's staircase spans tens of seconds.  Here it spans minutes: the
+derived cutoff (0.232 s) discards more link pairs than a hand-picked one
+would, and the last pair arrives at 122–343 s on seeds 1–3.  The bound
+asserted is 5–600 s.
 """
 
 import pytest
@@ -91,7 +94,7 @@ def test_fig11_pairs_over_time(near_term_runs):
         title=("Fig 11 — cumulative pairs on near-future hardware "
                "(3 nodes, 25 km links, one comm qubit, F target 0.5)\n"
                "paper shape: staircase over tens of seconds, all pairs "
-               "usable (F > 0.5)"))
+               "usable (F > 0.5); here over minutes, at the derived cutoff"))
     write_result("fig11_near_future", table)
 
 
@@ -101,7 +104,7 @@ def test_fig11_all_pairs_delivered(near_term_runs):
         assert run["delivered"] == NUM_PAIRS, seed
 
 
-def test_fig11_timescale_is_tens_of_seconds(near_term_runs):
+def test_fig11_timescale_is_minutes(near_term_runs):
     for seed, run in near_term_runs.items():
         last_arrival_s = run["arrivals"][-1][0]
         assert 5.0 < last_arrival_s < 600.0, (seed, last_arrival_s)

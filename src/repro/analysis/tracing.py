@@ -37,13 +37,6 @@ class Span:
     t_end: Optional[float] = None
     attrs: dict = field(default_factory=dict)
 
-    @property
-    def duration(self) -> Optional[float]:
-        """Span length in ns, or None while the span is still open."""
-        if self.t_end is None:
-            return None
-        return self.t_end - self.t_start
-
     def to_dict(self) -> dict:
         """JSON-serialisable representation (one JSONL line)."""
         return {"span_id": self.span_id, "parent_id": self.parent_id,
@@ -149,10 +142,6 @@ class SpanTracer:
         wanted = set(kinds)
         return [s for s in self.events() if s.name in wanted]
 
-    def first(self, kind: str) -> Optional[EventSpan]:
-        """The earliest-recorded event named ``kind``, or None."""
-        return next((s for s in self.events() if s.name == kind), None)
-
     def render_sequence(self, nodes: Iterable[str],
                         max_events: int = 200) -> str:
         """Render a Fig 6-style sequence diagram of the first
@@ -174,10 +163,6 @@ class SpanTracer:
             cells[column] = f"{label:<{width}}"[:width]
             lines.append(f"{event.t_start / 1e6:>12.3f}  " + "".join(cells))
         return "\n".join(lines)
-
-    def children(self, span: Span) -> list[Span]:
-        """Direct children of ``span``, in creation order."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
     def roots(self) -> list[Span]:
         """Spans with no parent (circuit spans, orphan events)."""

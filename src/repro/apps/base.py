@@ -80,16 +80,6 @@ class AppOutcome:
             return None
         return self.metrics.get(key)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form for reports and campaign artifacts."""
-        return {
-            "app": self.app,
-            "circuit_index": self.circuit_index,
-            "pairs_consumed": self.pairs_consumed,
-            "metrics": {key: value for key, value in self.metrics.items()},
-            "slo": self.slo.to_dict(),
-        }
-
 
 class AppService:
     """Base class for application services consuming one circuit's pairs.

@@ -99,16 +99,6 @@ class SLOVerdict:
         """The checks that missed their bound."""
         return tuple(check for check in self.checks if not check.ok)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form for campaign artifacts."""
-        return {
-            "met": self.met,
-            "checks": [{"metric": check.metric, "bound": check.bound,
-                        "sense": check.sense, "value": check.value,
-                        "ok": check.ok}
-                       for check in self.checks],
-        }
-
 
 def evaluate_slo(targets: Sequence[SLOTarget], metrics: dict) -> SLOVerdict:
     """Evaluate every target against a metrics dict.

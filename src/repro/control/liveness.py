@@ -83,10 +83,6 @@ class LivenessAgent(Entity, Component):
         if monitor is not None:
             monitor.stop()
 
-    def is_watching(self, circuit_id: str) -> bool:
-        """Whether this head-end currently monitors the circuit."""
-        return circuit_id in self._monitors
-
     # ------------------------------------------------------------------
 
     def _on_message(self, sender: str, message) -> None:

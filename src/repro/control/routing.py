@@ -278,10 +278,6 @@ class CentralController:
         else:
             self._down.add(frozenset(edge))
 
-    def link_is_up(self, edge: frozenset) -> bool:
-        """Whether the controller believes a link is usable."""
-        return frozenset(edge) not in self._down
-
     # ------------------------------------------------------------------
     # Candidate solving and scoring
     # ------------------------------------------------------------------

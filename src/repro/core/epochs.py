@@ -23,19 +23,12 @@ class EpochManager:
         self._active = 0
 
     @property
-    def active_epoch(self) -> int:
-        return self._active
-
-    @property
     def latest_epoch(self) -> int:
         return self._latest
 
     def active_requests(self) -> tuple[str, ...]:
         """Request IDs of the active epoch, in canonical order."""
         return self._epochs[self._active]
-
-    def requests_of(self, epoch: int) -> tuple[str, ...]:
-        return self._epochs.get(epoch, ())
 
     # ------------------------------------------------------------------
     # Head-end side: creates epochs

@@ -194,13 +194,6 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         self._labels = {key: value for key, value in self._labels.items()
                         if value != circuit_id}
 
-    def circuit(self, circuit_id: str) -> CircuitRuntime:
-        return self._circuits[circuit_id]
-
-    @property
-    def circuit_ids(self) -> list[str]:
-        return sorted(self._circuits)
-
     # ------------------------------------------------------------------
     # Application interface
     # ------------------------------------------------------------------

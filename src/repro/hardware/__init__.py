@@ -7,7 +7,7 @@ from .heralded import (
     MidpointHeraldModel,
     SingleClickModel,
 )
-from .memory import apply_memory_noise, apply_pair_noise, stamp
+from .memory import apply_memory_noise, stamp
 from .nv import NVDevice
 from .parameters import GateParams, HardwareParams, NEAR_TERM, SIMULATION
 
@@ -24,6 +24,5 @@ __all__ = [
     "MAX_ALPHA",
     "NVDevice",
     "apply_memory_noise",
-    "apply_pair_noise",
     "stamp",
 ]

@@ -59,10 +59,6 @@ class HeraldedConnection:
         return cls(half, half)
 
     @property
-    def total_length_km(self) -> float:
-        return self.segment_a.length_km + self.segment_b.length_km
-
-    @property
     def herald_round_trip(self) -> float:
         """Time from photon emission to the herald arriving back at the
         farther node: photons to the midpoint plus the heralding message

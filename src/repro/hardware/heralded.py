@@ -147,8 +147,7 @@ class SingleClickModel:
         """``log(1 − p_success)`` — the geometric-sampling constant.
 
         Owned here so the inverse-CDF attempt sampler has exactly one
-        source (used by :meth:`sample_attempts` and cached per request by
-        the link layer's inlined hot path).
+        source (cached per request by the link layer's inlined hot path).
         """
         log_miss = self._log_miss_cache.get(alpha)
         if log_miss is None:
@@ -172,13 +171,6 @@ class SingleClickModel:
         p = self.success_probability(alpha)
         attempts = math.ceil(math.log(1.0 - quantile) / math.log(1.0 - p))
         return attempts * self.cycle_time
-
-    def sample_attempts(self, alpha: float, rng) -> int:
-        """Sample the number of attempts until success (geometric)."""
-        log_miss = self.log_miss_probability(alpha)
-        # Inverse-CDF sampling of the geometric distribution.
-        u = rng.random()
-        return max(1, math.ceil(math.log(1.0 - u) / log_miss))
 
     # ------------------------------------------------------------------
     # Produced state

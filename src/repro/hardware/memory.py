@@ -34,9 +34,3 @@ def apply_memory_noise(qubit: Qubit, now: float) -> None:
     # four weights analytically.
     qubit.state.apply_decoherence(elapsed, qubit.t1, qubit.t2, qubit)
     qubit.last_noise_time = now
-
-
-def apply_pair_noise(qubit_a: Qubit, qubit_b: Qubit, now: float) -> None:
-    """Bring both halves of a pair up to date (delivery-time convenience)."""
-    apply_memory_noise(qubit_a, now)
-    apply_memory_noise(qubit_b, now)

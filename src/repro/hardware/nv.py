@@ -151,7 +151,3 @@ class NVDevice(Entity):
                 continue
             apply_memory_noise(qubit, self.now)
             qubit.state.apply_dephasing(aggregate, qubit)
-
-    @property
-    def stored_count(self) -> int:
-        return len(self._stored)

@@ -211,10 +211,6 @@ class Link(Entity, Component):
             request.active = False
             self._scheduler.remove(purpose_id)
 
-    def has_request(self, purpose_id: str) -> bool:
-        """Whether a continuous generation request is installed."""
-        return purpose_id in self._requests
-
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
@@ -352,8 +348,8 @@ class Link(Entity, Component):
             self._abort_round(slot_a, slot_b, arbiters)
             return
         sim = self.sim
-        # Inline geometric sampling (cf. SingleClickModel.sample_attempts):
-        # one inverse-CDF draw per slice with the per-request cached log.
+        # Inline geometric sampling: one inverse-CDF draw per slice with
+        # the per-request cached log of the miss probability.
         attempts_needed = math.ceil(math.log(1.0 - self._next_u())
                                     / request.log_miss)
         if attempts_needed < 1:

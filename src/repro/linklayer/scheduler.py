@@ -47,13 +47,6 @@ class FairShareScheduler:
         del self._weights[purpose_id]
         del self._virtual[purpose_id]
 
-    def __contains__(self, purpose_id: str) -> bool:
-        return purpose_id in self._weights
-
-    def weight(self, purpose_id: str) -> float:
-        self._check(purpose_id)
-        return self._weights[purpose_id]
-
     def pick(self, eligible: Iterable[str]) -> Optional[str]:
         """Pick the eligible purpose with the least virtual time."""
         best: Optional[str] = None

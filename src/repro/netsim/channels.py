@@ -15,7 +15,7 @@ Wiring: a channel is a :class:`~repro.netsim.ports.Component` with two
 ports, ``"a"`` and ``"b"`` (protocol :data:`CLASSICAL`).  A message
 received on one port is delivered out of the opposite port after the
 channel delay.  Code that injects messages by hand subscribes to a port
-(:func:`~repro.netsim.ports.subscribe`) and sends with the adapter's ``tx``.
+(:func:`~repro.netsim.ports.subscribe`) and sends through the adapter's ``io`` port.
 """
 
 from __future__ import annotations

@@ -176,14 +176,6 @@ class Component:
             raise KeyError(
                 f"{component_name(self)} has no port {name!r}") from None
 
-    def has_port(self, name: str) -> bool:
-        """Whether a port of that name exists on this component."""
-        return name in getattr(self, "_ports", ())
-
-    def port_names(self) -> list[str]:
-        """Names of all ports, in creation order."""
-        return list(getattr(self, "_ports", ()))
-
 
 def connect(a: Port, b: Port) -> None:
     """Connect two ports, validating protocol compatibility.
@@ -200,7 +192,7 @@ class CallbackComponent(Component):
 
     Bridges legacy callback-style consumers (and tests) onto the port
     graph: the callable becomes the handler of the single ``io`` port,
-    and :meth:`tx` sends outbound through the same port.
+    and ``io.tx`` sends outbound through the same port.
     """
 
     def __init__(self, callback: Optional[Callable[[Any], None]],
@@ -208,16 +200,12 @@ class CallbackComponent(Component):
         self.name = name or f"callback[{protocol}]"
         self.io = self.add_port("io", protocol, handler=callback)
 
-    def tx(self, message: Any) -> None:
-        """Send a message out through the adapter's port."""
-        self.io.tx(message)
-
 
 def subscribe(port: Port, callback: Callable[[Any], None],
               name: str = "") -> CallbackComponent:
     """Connect a plain callable to ``port``; returns the adapter.
 
-    The adapter's :meth:`CallbackComponent.tx` sends in the opposite
+    The adapter's ``io.tx`` sends in the opposite
     direction (into ``port``'s component), which is what tests driving a
     channel or a protocol machine by hand need.
     """

@@ -82,9 +82,6 @@ class SerialCounter:
         self.value = value + 1
         return value
 
-    def __iter__(self) -> "SerialCounter":
-        return self
-
     def __getstate__(self) -> int:
         return self.value
 
@@ -123,11 +120,6 @@ class EventHandle:
         owner = self.owner
         if owner is not None:
             owner._note_cancel()
-
-    @property
-    def active(self) -> bool:
-        """Whether the event is still pending (not cancelled, not fired)."""
-        return not self.cancelled and self.callback is not None
 
     def _fire(self) -> None:
         callback, args = self.callback, self.args

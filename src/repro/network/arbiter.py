@@ -36,10 +36,6 @@ class DeviceArbiter(Entity):
         self.max_queue_length = 0
 
     @property
-    def busy(self) -> bool:
-        return self._busy
-
-    @property
     def mean_wait(self) -> float:
         """Mean queueing delay per grant (ns; 0 when nothing was granted)."""
         return self.total_wait / self.grants if self.grants else 0.0

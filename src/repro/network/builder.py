@@ -486,10 +486,6 @@ class Network:
         if self.controller is not None:
             self.controller.set_link_state(edge, True)
 
-    def link_is_up(self, name_a: str, name_b: str) -> bool:
-        """Whether the physical link between two nodes is up."""
-        return self.links[frozenset((name_a, name_b))].up
-
     def recover_circuit(self, circuit_id: str, on_ready=None) -> Optional[str]:
         """Re-establish a failed circuit over a surviving path.
 

@@ -55,14 +55,8 @@ class Graph:
         self._adj.setdefault(u, {})[v] = None
         self._adj.setdefault(v, {})[u] = None
 
-    def neighbors(self, node: Node) -> Iterator[Node]:
-        return iter(self._adj[node])
-
     def number_of_nodes(self) -> int:
         return len(self._adj)
-
-    def number_of_edges(self) -> int:
-        return len(self.edges)
 
 
 def bfs_lengths(graph: Graph, source: Node,

@@ -120,7 +120,3 @@ class QuantumNode(Entity, Component):
         if port is None or not port.connected:
             raise RuntimeError(f"{self.name}: no handler for message kind {kind!r}")
         port.tx((sender, payload))
-
-    @property
-    def neighbours(self) -> list[str]:
-        return sorted(self._classical)

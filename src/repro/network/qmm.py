@@ -61,10 +61,6 @@ class SlotPool:
         self.in_use = 0
         self._spare: list[Slot] = []
 
-    @property
-    def free(self) -> int:
-        return self.capacity - self.in_use
-
     def try_acquire(self) -> Optional[Slot]:
         if self.in_use >= self.capacity:
             return None
@@ -112,25 +108,14 @@ class QuantumMemoryManager:
     # Slot allocation
     # ------------------------------------------------------------------
 
-    def try_acquire_comm(self, link_name: str) -> Optional[Slot]:
-        """Reserve a communication qubit slot on a link, if one is free."""
-        return self._pool(link_name).try_acquire()
-
     def try_acquire_storage(self) -> Optional[Slot]:
         """Reserve a storage slot (near-term model)."""
         return self._storage_pool.try_acquire()
-
-    def free_comm(self, link_name: str) -> int:
-        """Free slots currently available on a link."""
-        return self._pool(link_name).free
 
     def comm_pool(self, link_name: str) -> SlotPool:
         """The communication-qubit pool itself (hot-path accessor: the link
         layer caches it to skip the per-round name lookup)."""
         return self._pool(link_name)
-
-    def free_storage(self) -> int:
-        return self._storage_pool.free
 
     def on_slot_freed(self, listener: Callable[[str], None]) -> None:
         """Subscribe to slot releases (the link scheduler wakes on these).
@@ -197,10 +182,3 @@ class QuantumMemoryManager:
             return self._link_pools[link_name]
         except KeyError:
             raise KeyError(f"{self.node_name}: unknown link {link_name!r}") from None
-
-    def stats(self) -> dict[str, tuple[int, int]]:
-        """(in_use, capacity) per pool — diagnostics for tests/benches."""
-        out = {name: (pool.in_use, pool.capacity)
-               for name, pool in self._link_pools.items()}
-        out["storage"] = (self._storage_pool.in_use, self._storage_pool.capacity)
-        return out

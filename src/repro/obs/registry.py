@@ -74,12 +74,6 @@ class Gauge:
         self._value = 0.0
         self._source = source
 
-    def set(self, value: float) -> None:
-        """Record the current level (push-style gauges only)."""
-        if self._source is not None:
-            raise TypeError(f"gauge {self.name!r} is source-backed")
-        self._value = value
-
     @property
     def value(self):
         """Current level (polls the source when pull-based)."""
@@ -204,21 +198,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         """Get or create the histogram ``name``."""
         return self._get_or_create(name, Histogram, lambda: Histogram(name))
-
-    def names(self) -> list[str]:
-        """All registered instrument names, sorted."""
-        return sorted(self._instruments)
-
-    def get(self, name: str):
-        """The instrument registered under ``name``, or None."""
-        return self._instruments.get(name)
-
-    def value(self, name: str):
-        """Shorthand: current value of counter/gauge ``name``."""
-        instrument = self._instruments[name]
-        if isinstance(instrument, Histogram):
-            return instrument.to_dict()
-        return instrument.value
 
     def snapshot(self) -> dict:
         """Freeze every instrument into plain values, grouped by kind."""

@@ -8,7 +8,7 @@ Public API:
   ``"dm"`` (exact) or ``"bell"`` (fast Bell-diagonal weights,
   :class:`BellPairState`),
 * :class:`BellIndex` and the Bell frame algebra (``combine``,
-  ``swap_combine``, ``correction_pauli``),
+  ``swap_combine``),
 * gate matrices and Kraus channels (memoized — returned operators are
   read-only),
 * the high-level operations protocols use (``bell_state_measurement``,
@@ -27,28 +27,24 @@ from .backends import (
 )
 from .bell import (
     BellIndex,
-    bell_basis,
     bell_diagonal_dm,
     bell_diagonal_weights,
     bell_dm,
     bell_vector,
     combine,
-    correction_pauli,
     swap_combine,
     werner_dm,
 )
 from .channels import (
     amplitude_damping_kraus,
-    bitflip_kraus,
     decoherence_kraus,
     dephasing_kraus,
     depolarizing_kraus,
     is_trace_preserving,
-    readout_povm,
     two_qubit_depolarizing_kraus,
 )
 from .fidelity import bell_fidelity, pair_fidelity, pure_state_fidelity, state_fidelity
-from .gates import CNOT, CZ, H, I2, PAULI_FRAME, S, SWAP_GATE, T, X, Y, Z, rx, ry, rz
+from .gates import CNOT, CZ, H, I2, PAULI_FRAME, S, SWAP_GATE, T, X, Y, Z, rx, ry
 from .operations import (
     NoisyOpParams,
     PERFECT_OPS,
@@ -56,7 +52,6 @@ from .operations import (
     apply_two_qubit_gate,
     averaged_swap_dm,
     bell_state_measurement,
-    create_bell_pair,
     create_pair,
     discard,
     measure_qubit,
@@ -81,20 +76,16 @@ __all__ = [
     "BellIndex",
     "bell_vector",
     "bell_dm",
-    "bell_basis",
     "bell_diagonal_dm",
     "bell_diagonal_weights",
     "werner_dm",
     "combine",
     "swap_combine",
-    "correction_pauli",
     "dephasing_kraus",
-    "bitflip_kraus",
     "depolarizing_kraus",
     "two_qubit_depolarizing_kraus",
     "amplitude_damping_kraus",
     "decoherence_kraus",
-    "readout_povm",
     "is_trace_preserving",
     "bell_fidelity",
     "pair_fidelity",
@@ -108,7 +99,6 @@ __all__ = [
     "apply_gate",
     "apply_two_qubit_gate",
     "create_pair",
-    "create_bell_pair",
     "discard",
     "teleport",
     "averaged_swap_dm",
@@ -125,5 +115,4 @@ __all__ = [
     "PAULI_FRAME",
     "rx",
     "ry",
-    "rz",
 ]

@@ -44,16 +44,6 @@ class BellIndex(IntEnum):
     PHI_MINUS = 2
     PSI_MINUS = 3
 
-    @property
-    def phase_bit(self) -> int:
-        """The Z (phase) bit ``a``."""
-        return (self.value >> 1) & 1
-
-    @property
-    def parity_bit(self) -> int:
-        """The X (parity) bit ``b``."""
-        return self.value & 1
-
     def __str__(self) -> str:
         return {0: "Φ+", 1: "Ψ+", 2: "Φ−", 3: "Ψ−"}[self.value]
 
@@ -78,11 +68,6 @@ def bell_dm(index: int) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def bell_basis() -> np.ndarray:
-    """4×4 matrix whose columns are the four Bell state vectors."""
-    return np.column_stack([bell_vector(i) for i in range(4)])
-
-
 def combine(index_a: int, index_b: int) -> BellIndex:
     """Compose two Pauli frames: the Klein four-group XOR.
 
@@ -103,15 +88,6 @@ def swap_combine(state_a: int, state_b: int, measurement_outcome: int) -> BellIn
         Two-bit Bell-state-measurement outcome at the swapping node.
     """
     return BellIndex(int(state_a) ^ int(state_b) ^ int(measurement_outcome))
-
-
-def correction_pauli(from_index: int, to_index: int) -> int:
-    """Index of the single-qubit Pauli frame mapping ``from`` to ``to``.
-
-    Returns the packed two-bit index ``2*a + b`` meaning apply ``X^b Z^a`` to
-    one qubit of the pair (which qubit does not matter, up to global phase).
-    """
-    return int(from_index) ^ int(to_index)
 
 
 def bell_diagonal_dm(weights) -> np.ndarray:

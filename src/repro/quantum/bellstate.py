@@ -112,22 +112,11 @@ class BellPairState:
     # Introspection (QState-compatible surface)
     # ------------------------------------------------------------------
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.qubits)
-
     def index_of(self, qubit: Qubit) -> int:
         return self.qubits.index(qubit)
 
     def partner_of(self, qubit: Qubit) -> Qubit:
         return self.qubits[1 - self.index_of(qubit)]
-
-    def trace(self) -> float:
-        return float(self.weights.sum())
-
-    def is_valid(self, tol: float = 1e-7) -> bool:
-        return bool(np.all(self.weights >= -tol)
-                    and abs(self.weights.sum() - 1.0) <= tol)
 
     def fidelity_to(self, bell_index: int) -> float:
         """Fidelity to Bell state ``bell_index`` — just a weight lookup."""
@@ -244,22 +233,6 @@ class BellPairState:
             qubit.state = None
         self.qubits = []
         return QState(dm, qubits)
-
-    def apply_unitary(self, unitary: np.ndarray, targets: Sequence[Qubit]) -> None:
-        """Generic fallback: promote to the exact engine and delegate."""
-        self.promote().apply_unitary(unitary, targets)
-
-    def apply_channel(self, kraus_ops, targets: Sequence[Qubit]) -> None:
-        """Generic fallback: promote to the exact engine and delegate."""
-        self.promote().apply_channel(kraus_ops, targets)
-
-    def reduced_dm(self, targets: Sequence[Qubit]) -> np.ndarray:
-        """Density matrix of the requested qubits (built on demand)."""
-        if len(targets) == 2 and set(targets) == set(self.qubits):
-            return bell_diagonal_dm(self.weights)
-        if len(targets) == 1 and targets[0] in self.qubits:
-            return np.eye(2, dtype=complex) / 2.0
-        raise ValueError("targets are not part of this state")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ",".join(q.name for q in self.qubits)

@@ -54,13 +54,6 @@ def dephasing_kraus(p: float) -> KrausOps:
 
 
 @lru_cache(maxsize=None)
-def bitflip_kraus(p: float) -> KrausOps:
-    """Bit-flip channel: applies X with probability ``p``."""
-    _check_probability(p)
-    return _frozen(math.sqrt(1 - p) * I2, math.sqrt(p) * X)
-
-
-@lru_cache(maxsize=None)
 def depolarizing_kraus(p: float) -> KrausOps:
     """Single-qubit depolarizing channel with error probability ``p``.
 
@@ -145,21 +138,6 @@ def decoherence_kraus(elapsed: float, t1: float, t2: float) -> KrausOps:
         for dephasing_op in dephasing_kraus(dephase_prob):
             ops.append(dephasing_op @ damping_op)
     return _frozen(*ops)
-
-
-@lru_cache(maxsize=None)
-def readout_povm(error0: float, error1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy Z-readout POVM elements for outcomes 0 and 1.
-
-    ``error0`` is the probability of reading 1 when the qubit is |0⟩ (i.e.
-    ``1 - F_ro0``) and vice versa for ``error1``.
-    """
-    _check_probability(error0)
-    _check_probability(error1)
-    m0 = np.diag([1 - error0, error1]).astype(complex)
-    m1 = np.diag([error0, 1 - error1]).astype(complex)
-    m0, m1 = _frozen(m0, m1)
-    return m0, m1
 
 
 def is_trace_preserving(ops: KrausOps, tol: float = 1e-9) -> bool:

@@ -102,12 +102,6 @@ def ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def rz(theta: float) -> np.ndarray:
-    """Rotation about the Z axis by ``theta`` radians."""
-    phase = np.exp(-1j * theta / 2)
-    return np.array([[phase, 0], [0, phase.conjugate()]], dtype=complex)
-
-
 #: Superoperators of DEJMPS's bilateral rotations ``Rx(+π/2)`` and
 #: ``Rx(−π/2)``, which the density-matrix distillation path applies every
 #: round.

@@ -82,14 +82,6 @@ def create_pair(dm: np.ndarray, name_a: str = "", name_b: str = "") -> Tuple[Qub
     return qubit_a, qubit_b
 
 
-def create_bell_pair(index: int = 0, fidelity: float = 1.0,
-                     name_a: str = "", name_b: str = "") -> Tuple[Qubit, Qubit]:
-    """Create a (possibly Werner-noisy) Bell pair."""
-    from .bell import werner_dm
-
-    return create_pair(werner_dm(fidelity, index), name_a, name_b)
-
-
 def _ensure_joint(qubit_a: Qubit, qubit_b: Qubit) -> QState:
     if qubit_a.state is None or qubit_b.state is None:
         raise ValueError("operation on freed qubit")

@@ -40,18 +40,6 @@ class Qubit:
         #: Opaque slot reference used by the quantum memory manager.
         self.owner = None
 
-    @property
-    def active(self) -> bool:
-        """Whether this qubit is still part of a live quantum state."""
-        return self.state is not None
-
-    @property
-    def index(self) -> int:
-        """Position of this qubit within its :class:`QState`."""
-        if self.state is None:
-            raise RuntimeError(f"{self.name} is not part of a state")
-        return self.state.index_of(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "active" if self.active else "freed"
+        status = "active" if self.state is not None else "freed"
         return f"<Qubit {self.name} {status}>"

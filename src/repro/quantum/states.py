@@ -125,12 +125,6 @@ class QState:
         eigenvalues = np.linalg.eigvalsh(self.dm)
         return bool(eigenvalues.min() > -tol)
 
-    def probability_of(self, projector: np.ndarray, targets: Sequence[Qubit]) -> float:
-        """Probability of the projector on the given qubits."""
-        indices = [self.index_of(q) for q in targets]
-        projected = _apply_left(self.dm, projector, indices, self.num_qubits)
-        return float(np.real(np.trace(projected)))
-
     # ------------------------------------------------------------------
     # Evolution
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from .distillation import (
     theoretical_dejmps_fidelity,
     theoretical_dejmps_success,
 )
-from .fidelity_test import FidelityEstimate, run_test_rounds
+from .fidelity_test import FidelityEstimate
 from .qkd import BBM92Endpoint, SiftedKey, run_bbm92, sift
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "theoretical_dejmps_fidelity",
     "theoretical_dejmps_success",
     "FidelityEstimate",
-    "run_test_rounds",
     "BBM92Endpoint",
     "SiftedKey",
     "run_bbm92",

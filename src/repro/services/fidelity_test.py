@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-
-from ..core.requests import RequestType, UserRequest
 
 
 @dataclass
@@ -51,36 +48,3 @@ def expected_xor(bell_state: int, basis: str) -> int:
     sifting) check correlations against.
     """
     return bell_state & 1 if basis == "Z" else (bell_state >> 1) & 1
-
-
-def run_test_rounds(net, circuit_id: str, rounds_per_basis: int,
-                    timeout_s: float = 600.0) -> FidelityEstimate:
-    """Consume ``2 × rounds_per_basis`` pairs as fidelity test rounds."""
-    results = {"Z": [0, 0], "X": [0, 0]}  # basis → [errors, rounds]
-
-    def score(basis: str, pair) -> None:
-        if pair.tail_delivery.measurement is None:
-            return
-        expected = expected_xor(int(pair.head_delivery.bell_state), basis)
-        observed = (pair.head_delivery.measurement
-                    ^ pair.tail_delivery.measurement)
-        results[basis][1] += 1
-        if observed != expected:
-            results[basis][0] += 1
-
-    handles = [net.submit(circuit_id,
-                          UserRequest(num_pairs=rounds_per_basis,
-                                      request_type=RequestType.MEASURE,
-                                      measure_basis=basis),
-                          on_matched=partial(score, basis))
-               for basis in ("Z", "X")]
-    net.run_until_complete(handles, timeout_s=timeout_s)
-    error_z = results["Z"][0] / results["Z"][1] if results["Z"][1] else 0.0
-    error_x = results["X"][0] / results["X"][1] if results["X"][1] else 0.0
-    return FidelityEstimate(
-        fidelity_lower_bound=max(0.0, 1.0 - error_z - error_x),
-        error_rate_z=error_z,
-        error_rate_x=error_x,
-        rounds_z=results["Z"][1],
-        rounds_x=results["X"][1],
-    )

@@ -182,24 +182,9 @@ class TrafficReport:
         return self.total_confirmed_pairs / self.elapsed_s
 
     @property
-    def sessions_recovered(self) -> int:
-        """Sessions re-established after a link failure."""
-        return sum(tally.recovered for tally in self.classes.values())
-
-    @property
-    def sessions_lost(self) -> int:
-        """Sessions lost to an unrecoverable circuit."""
-        return sum(tally.lost for tally in self.classes.values())
-
-    @property
     def app_summaries(self) -> dict:
         """Per-app rollup of the outcomes (app name → AppSummary)."""
         return summarise_apps(self.apps)
-
-    @property
-    def apps_slo_met(self) -> bool:
-        """Whether every app session met its SLO (vacuously True)."""
-        return all(outcome.slo.met for outcome in self.apps)
 
     @property
     def fidelities(self) -> list:

@@ -296,9 +296,14 @@ class TrafficEngine:
         (:attr:`repro.apps.AppService.min_fidelity`) raises that
         circuit's target — application SLOs drive what is asked of the
         network, not just how its output is scored.
+
+        With ``trace_out``, the tracer is attached first, so each
+        circuit's ROUTE and INSTALL spans open its span tree.
         """
         if self.circuits:
             return self.circuits
+        if self.trace_out is not None and self.net.tracer is None:
+            attach_tracer(self.net)
         supplier = (self._explicit_pairs() if self.endpoint_pairs is not None
                     else self._sampled_pairs())
         while len(self.circuits) < self.num_circuits:
@@ -465,8 +470,6 @@ class TrafficEngine:
 
     def _begin_run(self, horizon_s: float, drain_s: Optional[float]) -> None:
         """Install circuits and arm everything the run needs (phase 0)."""
-        if self.trace_out is not None and self.net.tracer is None:
-            attach_tracer(self.net)
         self.install()
         sim = self.net.sim
         self._phase = "horizon"

@@ -253,7 +253,7 @@ class TestRoundTripProperties:
         handles[2].cancel()  # a dead entry must not resurrect on restore
         clone = pickle.loads(pickle.dumps(sim))
         twin = next(handle.callback for _, _, handle in clone._queue
-                    if handle.active)
+                    if not handle.cancelled and handle.callback is not None)
         sim.run()
         clone.run()
         assert recorder.events == twin.events == [1, 5, 3, 0, 4]

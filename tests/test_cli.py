@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -142,6 +144,31 @@ def test_traffic_runs(capsys):
     assert "admission and completion by priority class" in out
     assert "per-link utilisation" in out
     assert "pairs/s end-to-end" in out
+
+
+def test_traffic_trace_out_roots_every_span_at_a_circuit(capsys, tmp_path):
+    """The CLI installs circuits before it runs them; the tracer must be
+    attached by then, or the ROUTE/INSTALL marks and circuit spans are
+    never written and every event becomes a root of its own."""
+    trace = tmp_path / "spans.jsonl"
+    code = main(["traffic", "--topology", "ring", "--size", "5",
+                 "--circuits", "3", "--horizon", "0.3", "--seed", "7",
+                 "--formalism", "bell", "--trace-out", str(trace)])
+    assert code == 0
+    assert "installed 3 circuits" in capsys.readouterr().out
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    by_id = {span["span_id"]: span for span in spans}
+
+    def root(span):
+        while span["parent_id"] is not None:
+            span = by_id[span["parent_id"]]
+        return span
+
+    assert spans
+    assert {root(span)["name"] for span in spans} == {"circuit"}
+    names = [span["name"] for span in spans]
+    assert names.count("circuit") == 3
+    assert names.count("ROUTE") == names.count("INSTALL") == 3
 
 
 def test_traffic_apps_flag_runs_slo_section(capsys):

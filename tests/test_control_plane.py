@@ -96,9 +96,9 @@ class TestSignalling:
     def test_entries_installed_along_path(self):
         net = build_chain_network(3, seed=2)
         circuit_id = net.establish_circuit("node0", "node2", 0.8)
-        head = net.qnps["node0"].circuit(circuit_id)
-        middle = net.qnps["node1"].circuit(circuit_id)
-        tail = net.qnps["node2"].circuit(circuit_id)
+        head = net.qnps["node0"]._circuits[circuit_id]
+        middle = net.qnps["node1"]._circuits[circuit_id]
+        tail = net.qnps["node2"]._circuits[circuit_id]
         assert head.entry.role == CircuitRole.HEAD
         assert middle.entry.role == CircuitRole.INTERMEDIATE
         assert tail.entry.role == CircuitRole.TAIL
@@ -108,8 +108,8 @@ class TestSignalling:
     def test_labels_match_across_nodes(self):
         net = build_chain_network(3, seed=2)
         circuit_id = net.establish_circuit("node0", "node2", 0.8)
-        head = net.qnps["node0"].circuit(circuit_id).entry
-        middle = net.qnps["node1"].circuit(circuit_id).entry
+        head = net.qnps["node0"]._circuits[circuit_id].entry
+        middle = net.qnps["node1"]._circuits[circuit_id].entry
         assert head.downstream_link_label == middle.upstream_link_label
 
     def test_teardown_uninstalls_everywhere(self):
@@ -118,7 +118,7 @@ class TestSignalling:
         net.teardown_circuit(circuit_id)
         net.run(until_s=0.1)
         for name in ("node0", "node1", "node2"):
-            assert circuit_id not in net.qnps[name].circuit_ids
+            assert circuit_id not in net.qnps[name]._circuits
 
     def test_teardown_aborts_active_requests(self):
         from repro.core import UserRequest
@@ -134,4 +134,4 @@ class TestSignalling:
         first = net.establish_circuit("A0", "B0", 0.8)
         second = net.establish_circuit("A1", "B1", 0.8)
         assert first != second
-        assert set(net.qnps["MA"].circuit_ids) == {first, second}
+        assert set(net.qnps["MA"]._circuits) == {first, second}

@@ -79,15 +79,14 @@ class TestUserRequest:
 class TestEpochManager:
     def test_initial_state(self):
         epochs = EpochManager()
-        assert epochs.active_epoch == 0
+        assert epochs.latest_epoch == 0
         assert epochs.active_requests() == ()
 
     def test_create_and_activate(self):
         epochs = EpochManager()
         epoch = epochs.create_epoch(("r1",))
-        assert epochs.active_epoch == 0  # created but not active
+        assert epochs.active_requests() == ()  # created but not active
         epochs.activate(epoch)
-        assert epochs.active_epoch == epoch
         assert epochs.active_requests() == ("r1",)
 
     def test_activation_never_goes_backwards(self):
@@ -96,12 +95,12 @@ class TestEpochManager:
         second = epochs.create_epoch(("r1", "r2"))
         epochs.activate(second)
         epochs.activate(first)  # stale TRACK: ignored
-        assert epochs.active_epoch == second
+        assert epochs.active_requests() == ("r1", "r2")
 
     def test_activate_none_is_noop(self):
         epochs = EpochManager()
         epochs.activate(None)
-        assert epochs.active_epoch == 0
+        assert epochs.active_requests() == ()
 
     def test_learn_epoch(self):
         epochs = EpochManager()
@@ -119,7 +118,7 @@ class TestEpochManager:
         first = epochs.create_epoch(("r1",))
         second = epochs.create_epoch(("r2",))
         epochs.activate(second)
-        assert epochs.requests_of(first) == ()
+        assert first not in epochs._epochs
 
 
 class TestDemultiplexer:

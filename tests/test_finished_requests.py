@@ -146,7 +146,7 @@ class TestLateMessages:
         net, circuit_id, handle, _ = late_message_run(case)
         for name in ("node0", "node2"):
             qnp = net.qnps[name]
-            runtime = qnp.circuit(circuit_id)
+            runtime = qnp._circuits[circuit_id]
             assert runtime.requests == {}
             assert runtime.active == {}
             assert runtime.in_transit == {}

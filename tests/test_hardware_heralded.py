@@ -1,5 +1,6 @@
 """Tests for fibre and the single-click heralded entanglement model."""
 
+import math
 import random
 
 import numpy as np
@@ -36,7 +37,8 @@ class TestFibre:
 
     def test_symmetric_connection(self):
         connection = HeraldedConnection.lab(2.0)
-        assert connection.total_length_km == pytest.approx(2.0)
+        assert (connection.segment_a.length_km
+                + connection.segment_b.length_km) == pytest.approx(2.0)
         assert connection.segment_a.length_km == pytest.approx(1.0)
         # Round trip: photon to midpoint + herald back.
         assert connection.herald_round_trip == pytest.approx(2 * fibre_delay(1.0))
@@ -153,7 +155,10 @@ class TestSingleClick:
         model = self.make()
         rng = random.Random(5)
         alpha = 0.1
-        samples = [model.sample_attempts(alpha, rng) for _ in range(4000)]
+        # Inverse-CDF geometric draws, the way the link layer samples.
+        log_miss = model.log_miss_probability(alpha)
+        samples = [max(1, math.ceil(math.log(1.0 - rng.random()) / log_miss))
+                   for _ in range(4000)]
         expected_mean = 1.0 / model.success_probability(alpha)
         assert np.mean(samples) == pytest.approx(expected_mean, rel=0.1)
         assert min(samples) >= 1

@@ -121,7 +121,7 @@ class TestNVDevice:
         assert qa.t2 == NEAR_TERM.carbon_t2
         assert duration == (NEAR_TERM.gates.two_qubit_gate_duration
                             + NEAR_TERM.gates.carbon_init_duration)
-        assert device.stored_count == 1
+        assert len(device._stored) == 1
 
     def test_move_to_storage_adds_noise(self):
         sim, device = make_device(NEAR_TERM)
@@ -163,4 +163,4 @@ class TestNVDevice:
             device.adopt_comm_qubit(qubit)
         device.move_to_storage(q_mid1)
         device.bell_state_measurement(q_mid1, q_mid2)
-        assert device.stored_count == 0
+        assert len(device._stored) == 0

@@ -1,5 +1,6 @@
 """Integration tests for the link layer EGP over simulated hardware."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -76,7 +77,8 @@ def test_generation_stalls_when_memory_full():
     link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
     sim.run(until=2 * S)
     assert len(inbox_a) == 2
-    assert node_a.qmm.free_comm("alice-bob") == 0
+    pool = node_a.qmm.comm_pool("alice-bob")
+    assert pool.in_use == pool.capacity
     # Freeing one pair resumes generation.
     drain(node_a, inbox_a[0])
     drain(node_b, inbox_b[0])
@@ -163,14 +165,14 @@ def test_end_request_stops_generation():
     sim.run(until=3 * S)
     # At most one in-flight round can still complete.
     assert len(seen) <= count_at_stop + 1
-    assert not link.has_request("vc0")
+    assert "vc0" not in link._requests
 
 
 def test_set_request_updates_existing():
     sim, link, *_ = make_link()
     link.set_request("vc0", min_fidelity=0.9, lpr=10.0)
     link.set_request("vc0", min_fidelity=0.85, lpr=20.0)
-    assert link.has_request("vc0")
+    assert link._requests["vc0"].lpr == 20.0
 
 
 def test_infeasible_fidelity_raises():
@@ -206,6 +208,43 @@ def test_near_term_serializes_device():
     link.set_request("vc0", min_fidelity=0.7, lpr=1.0)
     sim.run(until=60 * S)
     assert len(seen) >= 2
+
+
+def test_request_ended_while_waiting_for_device_aborts_round():
+    """A round that waits for a serialised device whose request ends
+    meanwhile gives back both slots and both arbiters, then the link
+    starts a round for the next request."""
+    params = dataclasses.replace(SIMULATION, parallel_links=False)
+    sim, link, node_a, node_b, inbox_a, inbox_b = make_link(seed=7,
+                                                            params=params)
+    pools = [node.qmm.comm_pool("alice-bob") for node in (node_a, node_b)]
+    arbiters = [node_a.arbiter, node_b.arbiter]
+    holder = []
+    node_a.arbiter.acquire(lambda: holder.append(sim.now))  # someone else's
+    sim.run(until=sim.now)
+    assert holder
+    link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
+    # The round took a slot at each end and now queues on node_a's device.
+    assert [pool.in_use for pool in pools] == [1, 1]
+    link.end_request("vc0")
+    node_a.arbiter.release()
+    sim.run(until=sim.now)
+    assert [pool.in_use for pool in pools] == [0, 0]
+    for arbiter in arbiters:
+        with pytest.raises(RuntimeError, match="release without acquire"):
+            arbiter.release()
+    assert inbox_a == inbox_b == []
+
+    # Again, with a second request waiting: the abort kicks it.
+    node_a.arbiter.acquire(lambda: None)
+    sim.run(until=sim.now)
+    link.set_request("vc1", min_fidelity=0.9, lpr=50.0)  # its round waits
+    link.set_request("vc2", min_fidelity=0.9, lpr=50.0)
+    assert [pool.in_use for pool in pools] == [1, 1]
+    link.end_request("vc1")
+    node_a.arbiter.release()
+    sim.run(until=sim.now + 0.5 * S)
+    assert inbox_a and {delivery.purpose_id for delivery in inbox_a} == {"vc2"}
 
 
 def _run_telemetry(seed=31, until=5 * S, script=None):

@@ -71,9 +71,9 @@ def test_new_purpose_does_not_starve_existing():
 def test_remove_and_membership():
     scheduler = FairShareScheduler()
     scheduler.add("a", 1.0)
-    assert "a" in scheduler
+    assert "a" in scheduler._weights
     scheduler.remove("a")
-    assert "a" not in scheduler
+    assert "a" not in scheduler._weights
     with pytest.raises(KeyError):
         scheduler.charge("a", 1.0)
 
@@ -82,7 +82,7 @@ def test_update_weight():
     scheduler = FairShareScheduler()
     scheduler.add("a", 1.0)
     scheduler.update_weight("a", 5.0)
-    assert scheduler.weight("a") == 5.0
+    assert scheduler._weights["a"] == 5.0
 
 
 def test_validation():

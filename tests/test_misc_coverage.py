@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core import RequestStatus, UserRequest
-from repro.hardware import apply_pair_noise, stamp
+from repro.hardware import apply_memory_noise, stamp
 from repro.netsim import Entity, Simulator
 from repro.network.builder import build_chain_network
 from repro.quantum import bell_dm, create_pair, pair_fidelity
@@ -31,12 +31,14 @@ class TestPairNoise:
         qa, qb = create_pair(bell_dm(0))
         stamp(qa, 0.0, math.inf, 1e6)
         stamp(qb, 0.0, math.inf, 1e6)
-        apply_pair_noise(qa, qb, 1e6)
+        apply_memory_noise(qa, 1e6)
+        apply_memory_noise(qb, 1e6)
         # Both dephased: worse than one-sided aging.
         one_a, one_b = create_pair(bell_dm(0))
         stamp(one_a, 0.0, math.inf, 1e6)
         stamp(one_b, 0.0, math.inf, math.inf)
-        apply_pair_noise(one_a, one_b, 1e6)
+        apply_memory_noise(one_a, 1e6)
+        apply_memory_noise(one_b, 1e6)
         assert pair_fidelity(qa, qb, 0) < pair_fidelity(one_a, one_b, 0)
 
 
@@ -90,7 +92,7 @@ class TestQnpApi:
     def test_duplicate_circuit_install_rejected(self):
         net = build_chain_network(2, seed=68)
         circuit_id = net.establish_circuit("node0", "node1", 0.85)
-        entry = net.qnps["node0"].circuit(circuit_id).entry
+        entry = net.qnps["node0"]._circuits[circuit_id].entry
         with pytest.raises(ValueError):
             net.qnps["node0"].install_circuit(entry)
 
@@ -107,5 +109,5 @@ class TestQnpApi:
         queued = net.submit(circuit_id, UserRequest(rate=5.0))
         assert queued.status == RequestStatus.QUEUED
         net.qnps["node0"].cancel(circuit_id, queued.request_id)
-        head_runtime = net.qnps["node0"].circuit(circuit_id)
+        head_runtime = net.qnps["node0"]._circuits[circuit_id]
         assert head_runtime.policer.queued == 0

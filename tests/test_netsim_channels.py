@@ -24,7 +24,7 @@ def make_channel(sim, **kwargs):
 def test_message_arrives_with_propagation_delay():
     sim = Simulator()
     _, (end_a, _), _, inbox_b = make_channel(sim, length_km=2.0)
-    end_a.tx("hello")
+    end_a.io.tx("hello")
     sim.run()
     assert inbox_b == ["hello"]
     assert sim.now == pytest.approx(fibre_delay(2.0))
@@ -33,8 +33,8 @@ def test_message_arrives_with_propagation_delay():
 def test_bidirectional_delivery():
     sim = Simulator()
     _, (end_a, end_b), inbox_a, inbox_b = make_channel(sim, length_km=1.0)
-    end_a.tx("to-b")
-    end_b.tx("to-a")
+    end_a.io.tx("to-b")
+    end_b.io.tx("to-a")
     sim.run()
     assert inbox_a == ["to-a"]
     assert inbox_b == ["to-b"]
@@ -44,7 +44,7 @@ def test_in_order_delivery():
     sim = Simulator()
     _, (end_a, _), _, inbox_b = make_channel(sim, length_km=5.0)
     for i in range(20):
-        sim.schedule(i * 10.0, end_a.tx, i)
+        sim.schedule(i * 10.0, end_a.io.tx, i)
     sim.run()
     assert inbox_b == list(range(20))
 
@@ -55,7 +55,7 @@ def test_processing_delay_added():
     received_at = []
     end_a = subscribe(channel.port("a"), lambda m: None)
     subscribe(channel.port("b"), lambda m: received_at.append(sim.now))
-    end_a.tx("x")
+    end_a.io.tx("x")
     sim.run()
     assert received_at == [3 * MS]
 
@@ -66,11 +66,11 @@ def test_processing_delay_change_does_not_reorder():
     sim = Simulator()
     channel, (end_a, _), _, inbox_b = make_channel(
         sim, length_km=0.0, processing_delay=10 * MS)
-    end_a.tx("first")
+    end_a.io.tx("first")
 
     def shrink_and_send():
         channel.processing_delay = 0.0
-        end_a.tx("second")
+        end_a.io.tx("second")
 
     sim.schedule(1 * MS, shrink_and_send)
     sim.run()
@@ -80,7 +80,7 @@ def test_processing_delay_change_does_not_reorder():
 def test_send_without_receiver_raises():
     sim = Simulator()
     channel = ClassicalChannel(sim)
-    subscribe(channel.port("a"), lambda m: None).tx("x")
+    subscribe(channel.port("a"), lambda m: None).io.tx("x")
     with pytest.raises(RuntimeError):
         sim.run()
 
@@ -88,8 +88,8 @@ def test_send_without_receiver_raises():
 def test_message_counter():
     sim = Simulator()
     channel, (end_a, end_b), _, _ = make_channel(sim)
-    end_a.tx(1)
-    end_b.tx(2)
+    end_a.io.tx(1)
+    end_b.io.tx(2)
     sim.run()
     assert channel.messages_sent == 2
 

@@ -11,7 +11,8 @@ class TestSlotPools:
     def test_register_and_capacity(self):
         qmm = QuantumMemoryManager("n")
         qmm.register_link("l1", 2)
-        assert qmm.free_comm("l1") == 2
+        pool = qmm.comm_pool("l1")
+        assert (pool.in_use, pool.capacity) == (0, 2)
 
     def test_duplicate_link_rejected(self):
         qmm = QuantumMemoryManager("n")
@@ -22,30 +23,33 @@ class TestSlotPools:
     def test_unknown_link_rejected(self):
         qmm = QuantumMemoryManager("n")
         with pytest.raises(KeyError):
-            qmm.free_comm("nope")
+            qmm.comm_pool("nope")
 
     def test_acquire_until_exhausted(self):
         qmm = QuantumMemoryManager("n")
         qmm.register_link("l1", 2)
-        s1 = qmm.try_acquire_comm("l1")
-        s2 = qmm.try_acquire_comm("l1")
+        pool = qmm.comm_pool("l1")
+        s1 = pool.try_acquire()
+        s2 = pool.try_acquire()
         assert s1 is not None and s2 is not None
-        assert qmm.try_acquire_comm("l1") is None
-        assert qmm.free_comm("l1") == 0
+        assert pool.try_acquire() is None
+        assert pool.in_use == 2
 
     def test_release_restores_capacity(self):
         qmm = QuantumMemoryManager("n")
         qmm.register_link("l1", 1)
-        slot = qmm.try_acquire_comm("l1")
+        pool = qmm.comm_pool("l1")
+        slot = pool.try_acquire()
         slot.release()
-        assert qmm.free_comm("l1") == 1
+        assert pool.in_use == 0
+        assert pool.try_acquire() is not None
 
     def test_pools_are_per_link(self):
         qmm = QuantumMemoryManager("n")
         qmm.register_link("l1", 1)
         qmm.register_link("l2", 1)
-        assert qmm.try_acquire_comm("l1") is not None
-        assert qmm.try_acquire_comm("l2") is not None
+        assert qmm.comm_pool("l1").try_acquire() is not None
+        assert qmm.comm_pool("l2").try_acquire() is not None
 
     def test_storage_pool(self):
         qmm = QuantumMemoryManager("n")
@@ -54,7 +58,7 @@ class TestSlotPools:
         assert slot is not None
         assert qmm.try_acquire_storage() is None
         slot.release()
-        assert qmm.free_storage() == 1
+        assert qmm.try_acquire_storage() is not None
 
 
 class TestCorrelatorRegistry:
@@ -62,7 +66,7 @@ class TestCorrelatorRegistry:
         qmm = QuantumMemoryManager("n")
         qmm.register_link("l1", 2)
         qa, qb = create_pair(bell_dm(0))
-        slot = qmm.try_acquire_comm("l1")
+        slot = qmm.comm_pool("l1").try_acquire()
         correlator = ("l1", 0)
         slot.commit(qa, correlator)
         qmm.bind(correlator, qa)
@@ -85,7 +89,7 @@ class TestCorrelatorRegistry:
         returned = qmm.free(correlator)
         assert returned is qubit
         assert qmm.get(correlator) is None
-        assert qmm.free_comm("l1") == 2
+        assert qmm.comm_pool("l1").in_use == 0
         assert freed_pools == ["l1"]
 
     def test_free_unknown_correlator_is_none(self):
@@ -104,19 +108,19 @@ class TestCorrelatorRegistry:
         qmm.on_slot_freed(freed.append)
         storage_slot = qmm.try_acquire_storage()
         qmm.rebind_slot(qubit, storage_slot)
-        assert qmm.free_comm("l1") == 2
+        assert qmm.comm_pool("l1").in_use == 0
         assert freed == ["l1"]
         # Correlator still resolves to the qubit.
         assert qmm.get(correlator) is qubit
         # Freeing now releases the storage slot.
         qmm.free(correlator)
-        assert qmm.free_storage() == 1
+        assert qmm.try_acquire_storage() is not None
 
     def test_stats(self):
         qmm, _, _ = self.make()
-        stats = qmm.stats()
-        assert stats["l1"] == (1, 2)
-        assert stats["storage"] == (0, 0)
+        pool = qmm.comm_pool("l1")
+        assert (pool.in_use, pool.capacity) == (1, 2)
+        assert qmm.try_acquire_storage() is None  # no storage configured
 
 
 class TestArbiter:
@@ -167,4 +171,6 @@ class TestArbiter:
         hold_and_release("w2", [arbiter_b, arbiter_a])
         sim.run()
         assert sorted(completed) == ["w1", "w2"]
-        assert not arbiter_a.busy and not arbiter_b.busy
+        for arbiter in (arbiter_a, arbiter_b):  # both idle again
+            with pytest.raises(RuntimeError, match="release without acquire"):
+                arbiter.release()

@@ -108,7 +108,7 @@ class TestRegistry:
         counter = reg.counter("hits")
         counter.inc()
         counter.inc(4)
-        reg.gauge("depth").set(7)
+        reg.gauge("depth", source=lambda: 7)
         snap = reg.snapshot()
         assert snap["counters"]["hits"] == 5
         assert snap["gauges"]["depth"] == 7
@@ -151,7 +151,8 @@ class TestRegistry:
 
     def test_network_registers_core_instruments(self):
         net = _build_grid()
-        names = net.obs.names()
+        snap = net.obs.snapshot()
+        names = {*snap["counters"], *snap["gauges"], *snap["hists"]}
         for series in ("sim.events_processed", "egp.attempts", "qnp.swaps",
                        "policer.queue_depth", "arbiter.grants"):
             assert series in names
@@ -297,12 +298,14 @@ class TestSpanTracer:
             assert expected in names, f"missing {expected} in span tree"
         # At least one completed session shows the full submit->deliver
         # lifecycle under a single subtree.
+        def children(span):
+            return [s for s in tracer.spans if s.parent_id == span.span_id]
+
         session = next(
             span for span in tracer.spans
             if span.name == "session" and span.t_end is not None
-            and any(child.name == "PAIR"
-                    for child in tracer.children(span)))
-        child_names = {child.name for child in tracer.children(session)}
+            and any(child.name == "PAIR" for child in children(span)))
+        child_names = {child.name for child in children(session)}
         assert {"REQUEST", "ADMIT", "PAIR", "REQUEST_DONE"} <= child_names
         rendered = tracer.render_tree(session)
         assert "PAIR" in rendered and "session" in rendered

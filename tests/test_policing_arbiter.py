@@ -108,7 +108,8 @@ def test_arbiter_fifo_order_and_wait_stats():
     # c1 waited 10, c2 waited 20, c3 waited 25, c4 waited 35 ns.
     assert arbiter.total_wait == pytest.approx(10.0 + 20.0 + 25.0 + 35.0)
     assert arbiter.mean_wait == pytest.approx(arbiter.total_wait / 5)
-    assert not arbiter.busy
+    with pytest.raises(RuntimeError, match="release without acquire"):
+        arbiter.release()  # idle again
 
 
 def test_arbiter_parallel_mode_counts_grants_without_wait():
@@ -148,7 +149,9 @@ def test_acquire_ordered_no_deadlock_on_crossed_requests():
     sim.schedule(0.0, reserve, "ba", [b, a])
     sim.run()
     assert sorted(done) == ["ab", "ba"]
-    assert not a.busy and not b.busy
+    for arbiter in (a, b):  # both idle again
+        with pytest.raises(RuntimeError, match="release without acquire"):
+            arbiter.release()
 
 
 # ----------------------------------------------------------------------

@@ -125,11 +125,6 @@ class TestComponent:
             a.port("nope")
         assert "a" in str(err.value) and "nope" in str(err.value)
 
-    def test_port_names_and_has_port(self):
-        a = Recorder("a")
-        assert a.port_names() == ["rx", "tx"]
-        assert a.has_port("rx") and not a.has_port("nope")
-
     def test_unnamed_component_falls_back_to_class_name(self):
         class Bare(Component):
             pass
@@ -150,7 +145,7 @@ class TestAdapters:
     def test_subscribe_adapter_can_send_back(self):
         a = Recorder("a")
         adapter = subscribe(a.rx, lambda _: None)
-        adapter.tx("in")
+        adapter.io.tx("in")
         assert a.inbox == ["in"]
 
     def test_callback_component_protocol_enforced(self):

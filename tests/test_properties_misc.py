@@ -139,14 +139,18 @@ def test_policer_queue_drains_in_fifo_order(rates):
 def test_epoch_activation_is_monotone(operations):
     epochs = EpochManager()
     created = [0]
+    # Each epoch holds one distinct request, which names it.
+    epoch_of = {(): 0}
     observed = [0]
     for create, pick in operations:
         if create:
-            created.append(epochs.create_epoch((f"r{len(created)}",)))
+            request = f"r{len(created)}"
+            created.append(epochs.create_epoch((request,)))
+            epoch_of[(request,)] = created[-1]
         else:
             target = created[pick % len(created)]
             epochs.activate(target)
-        observed.append(epochs.active_epoch)
+        observed.append(epoch_of[epochs.active_requests()])
     assert observed == sorted(observed)
 
 

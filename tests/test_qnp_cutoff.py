@@ -37,9 +37,9 @@ class TestCutoffDiscards:
         net.run(until_s=5.0)
         # No leaked slots at the intermediate node: everything in use is
         # bounded by capacity and nothing is stuck.
-        stats = net.node("node1").qmm.stats()
-        for pool, (in_use, capacity) in stats.items():
-            assert in_use <= capacity
+        qmm = net.node("node1").qmm
+        for pool in (*qmm._link_pools.values(), qmm._storage_pool):
+            assert pool.in_use <= pool.capacity
 
     def test_expires_reach_end_nodes(self):
         net = build_chain_network(3, seed=3)

@@ -48,9 +48,9 @@ class TestStragglerPairs:
         # Let any in-flight stragglers resolve; memory must drain back.
         net.run(until_s=net.sim.now / 1e9 + 3.0)
         for name in ("node0", "node1", "node2"):
-            stats = net.node(name).qmm.stats()
-            for pool, (in_use, capacity) in stats.items():
-                assert in_use == 0, (name, pool)
+            qmm = net.node(name).qmm
+            for pool in (*qmm._link_pools.values(), qmm._storage_pool):
+                assert pool.in_use == 0, (name, pool.name)
 
     def test_exactly_requested_count_delivered(self):
         net = build_chain_network(3, seed=43)
@@ -132,7 +132,7 @@ class TestUninstall:
         net.run(until_s=1.5)
         # Links stop generating for the torn circuit.
         link = net.link_between("node0", "node1")
-        assert not link.has_request(f"label:{circuit_id}")
+        assert f"label:{circuit_id}" not in link._requests
 
     def test_messages_for_torn_circuit_dropped(self):
         net = build_chain_network(3, seed=49)

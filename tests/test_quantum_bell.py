@@ -5,17 +5,16 @@ import pytest
 
 from repro.quantum import (
     BellIndex,
-    bell_basis,
     bell_diagonal_dm,
     bell_diagonal_weights,
     bell_dm,
     bell_vector,
     combine,
-    correction_pauli,
     swap_combine,
     werner_dm,
 )
 from repro.quantum.gates import PAULI_FRAME
+from repro.services.fidelity_test import expected_xor
 
 
 def test_bell_vectors_are_normalised():
@@ -24,7 +23,7 @@ def test_bell_vectors_are_normalised():
 
 
 def test_bell_vectors_are_orthogonal():
-    basis = bell_basis()
+    basis = np.column_stack([bell_vector(i) for i in range(4)])
     gram = basis.conj().T @ basis
     assert np.allclose(gram, np.eye(4), atol=1e-12)
 
@@ -39,12 +38,13 @@ def test_bell_vector_contents():
 
 
 def test_bell_index_bits():
-    assert BellIndex.PHI_PLUS.phase_bit == 0
-    assert BellIndex.PHI_PLUS.parity_bit == 0
-    assert BellIndex.PSI_PLUS.parity_bit == 1
-    assert BellIndex.PHI_MINUS.phase_bit == 1
-    assert BellIndex.PSI_MINUS.phase_bit == 1
-    assert BellIndex.PSI_MINUS.parity_bit == 1
+    # Same-basis outcomes XOR to the parity bit in Z, the phase bit in X.
+    assert expected_xor(BellIndex.PHI_PLUS, "X") == 0
+    assert expected_xor(BellIndex.PHI_PLUS, "Z") == 0
+    assert expected_xor(BellIndex.PSI_PLUS, "Z") == 1
+    assert expected_xor(BellIndex.PHI_MINUS, "X") == 1
+    assert expected_xor(BellIndex.PSI_MINUS, "X") == 1
+    assert expected_xor(BellIndex.PSI_MINUS, "Z") == 1
 
 
 def test_pauli_frame_generates_bell_states():
@@ -79,10 +79,10 @@ def test_swap_combine_examples():
 
 
 def test_correction_pauli_maps_frames():
+    # The Pauli frame that corrects Bell state i into j is i XOR j.
     for i in range(4):
         for j in range(4):
-            frame = correction_pauli(i, j)
-            assert combine(i, frame) == j
+            assert combine(i, i ^ j) == j
 
 
 def test_bell_diagonal_dm_weights_roundtrip():

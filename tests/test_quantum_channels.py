@@ -1,6 +1,7 @@
-"""Tests for Kraus channels."""
+"""Tests for Kraus channels and the readout error model."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,20 +10,19 @@ from repro.quantum import (
     QState,
     Qubit,
     amplitude_damping_kraus,
-    bitflip_kraus,
     decoherence_kraus,
     dephasing_kraus,
     depolarizing_kraus,
     is_trace_preserving,
-    readout_povm,
     two_qubit_depolarizing_kraus,
     H,
+    NoisyOpParams,
 )
+from repro.quantum.bellstate import readout_flip
 
 
 @pytest.mark.parametrize("factory,arg", [
     (dephasing_kraus, 0.3),
-    (bitflip_kraus, 0.2),
     (depolarizing_kraus, 0.7),
     (two_qubit_depolarizing_kraus, 0.4),
     (amplitude_damping_kraus, 0.5),
@@ -111,13 +111,16 @@ def test_decoherence_is_trace_preserving():
 
 
 def test_readout_povm_probabilities():
-    m0, m1 = readout_povm(error0=0.02, error1=0.05)
-    assert np.allclose(m0 + m1, np.eye(2))
-    # A |0⟩ qubit reads 0 with probability 1 - error0.
-    rho0 = np.diag([1.0, 0.0])
-    assert np.real(np.trace(m0 @ rho0)) == pytest.approx(0.98)
-    rho1 = np.diag([0.0, 1.0])
-    assert np.real(np.trace(m1 @ rho1)) == pytest.approx(0.95)
+    """A true 0 reads 1 with probability error0, a true 1 reads 0 with
+    probability error1; every measurement path shares this layer."""
+    ops = NoisyOpParams(readout_error0=0.02, readout_error1=0.05)
+    rng = random.Random(3)
+    n = 20000
+    flips0 = sum(readout_flip(0, rng, ops) for _ in range(n)) / n
+    flips1 = sum(readout_flip(1, rng, ops) for _ in range(n)) / n
+    assert flips0 == pytest.approx(0.02, abs=0.005)
+    assert flips1 == pytest.approx(0.05, abs=0.007)
+    assert readout_flip(0, rng, NoisyOpParams()) == 0
 
 
 def test_two_qubit_depolarizing_fully_mixes():

@@ -25,7 +25,6 @@ from repro.quantum import (
     bell_dm,
     bell_fidelity,
     bell_state_measurement,
-    create_bell_pair,
     create_pair,
     discard,
     get_backend,
@@ -50,7 +49,7 @@ def test_create_pair_holds_given_dm():
 
 
 def test_create_bell_pair_fidelity():
-    qa, qb = create_bell_pair(index=1, fidelity=0.85)
+    qa, qb = create_pair(werner_dm(0.85, index=1))
     assert pair_fidelity(qa, qb, 1) == pytest.approx(0.85)
 
 

@@ -40,7 +40,7 @@ def test_ground_state():
     assert state.num_qubits == 1
     assert state.dm[0, 0] == pytest.approx(1.0)
     assert qubit.state is state
-    assert qubit.index == 0
+    assert state.index_of(qubit) == 0
 
 
 def test_from_pure_rejects_unnormalised():
@@ -124,7 +124,7 @@ def test_remove_traces_out():
     state.remove(qa)
     # Remaining qubit is maximally mixed.
     assert np.allclose(state.dm, np.eye(2) / 2, atol=1e-12)
-    assert qb.index == 0
+    assert state.index_of(qb) == 0
 
 
 def test_reduced_dm_of_pair_inside_larger_state():
@@ -164,14 +164,6 @@ def test_merge_same_state_is_noop():
     qa, qb = fresh(2)
     state = QState.merge(QState.ground(qa), QState.ground(qb))
     assert QState.merge(state, state) is state
-
-
-def test_probability_of_projector():
-    (qubit,) = fresh(1)
-    state = QState.ground(qubit)
-    state.apply_unitary(H, [qubit])
-    p0 = state.probability_of(np.diag([1.0, 0.0]).astype(complex), [qubit])
-    assert p0 == pytest.approx(0.5)
 
 
 def test_is_valid_detects_bad_trace():

@@ -111,10 +111,13 @@ class TestLinkFailure:
     def test_fail_link_cuts_classical_channel(self):
         net = build_chain_network(3, seed=12, formalism="bell")
         net.fail_link("node1", "node2")
-        assert not net.link_is_up("node1", "node2")
-        assert net.link_is_up("node0", "node1")
+        def up(a, b):
+            return net.links[frozenset((a, b))].up
+
+        assert not up("node1", "node2")
+        assert up("node0", "node1")
         net.restore_link("node1", "node2")
-        assert net.link_is_up("node1", "node2")
+        assert up("node1", "node2")
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +141,7 @@ class TestCircuitRecovery:
         net.run(until_s=0.5)
         # The old circuit died, its request aborted, a new one is up.
         assert handle.status == RequestStatus.ABORTED
-        assert circuit_id not in net.qnps["r0"].circuit_ids
+        assert circuit_id not in net.qnps["r0"]._circuits
         assert len(ready) == 1
         new_id = ready[0]
         new_path = net.route_of(new_id).path
@@ -161,7 +164,7 @@ class TestCircuitRecovery:
         net.run(until_s=0.5)
         assert outcomes == [None]  # no surviving path on a chain
         assert handle.status == RequestStatus.ABORTED
-        assert circuit_id not in net.qnps["node0"].circuit_ids
+        assert circuit_id not in net.qnps["node0"]._circuits
 
     def test_recover_unknown_circuit_is_noop(self):
         net = build_topology("ring", 4, seed=23, formalism="bell")
@@ -234,6 +237,11 @@ class TestFaultSchedule:
 # Traffic engine with failures
 # ----------------------------------------------------------------------
 
+def _sessions(report, outcome):
+    """Sessions ``recovered`` or ``lost``, summed over priority classes."""
+    return sum(getattr(tally, outcome) for tally in report.classes.values())
+
+
 def _faulted_run(seed, **kwargs):
     net = build_topology("ring", 5, seed=seed, formalism="bell")
     engine = TrafficEngine(net, circuits=3, load=0.8, seed=seed,
@@ -249,8 +257,8 @@ class TestEngineRecovery:
         assert report.recovery is not None
         assert report.recovery.circuits_recovered >= 1
         assert report.recovery.circuits_lost == 0
-        assert report.sessions_recovered >= 1
-        assert report.sessions_lost == 0
+        assert _sessions(report, "recovered") >= 1
+        assert _sessions(report, "lost") == 0
         recovered = [circuit for circuit in engine.circuits
                      if circuit.recoveries > 0]
         assert recovered
@@ -267,7 +275,7 @@ class TestEngineRecovery:
         report = engine.run(horizon_s=0.6, drain_s=0.4)
         assert engine.link_down_count >= 1
         assert report.recovery.circuits_lost >= 1
-        assert report.sessions_lost >= 1
+        assert _sessions(report, "lost") >= 1
         for record in engine.records:
             assert record.handle.status in (
                 RequestStatus.COMPLETED, RequestStatus.ABORTED,
@@ -297,7 +305,7 @@ class TestEngineRecovery:
         _, second = _faulted_run(seed=33)
         assert first.render() == second.render()
         assert first.total_sessions == second.total_sessions
-        assert first.sessions_recovered == second.sessions_recovered
+        assert _sessions(first, "recovered") == _sessions(second, "recovered")
         assert first.fidelities == second.fidelities
 
     def test_utilisation_spreads_better_than_hops_on_grid(self):

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.apps import AppContext, get_app
+from repro.core import UserRequest
 from repro.network.builder import build_chain_network
 from repro.quantum import (
     BellPairState,
@@ -37,7 +39,6 @@ from repro.services import (
     dejmps_round,
     pauli_twirl,
     run_bbm92,
-    run_test_rounds,
     theoretical_dejmps_fidelity,
     theoretical_dejmps_success,
 )
@@ -434,11 +435,30 @@ class TestQkdOverStack:
 
 
 class TestFidelityTestRounds:
+    """Fidelity test rounds as the program runs them: the ``certify`` app
+    sacrifices every ``probe_every``-th delivered pair of a circuit as a
+    same-basis probe, alternating Z and X."""
+
+    @staticmethod
+    def certify(net, circuit_id, probes_per_basis, seed):
+        app_cls = get_app("certify")
+        ctx = AppContext(
+            circuit_index=0, circuit_id=circuit_id, head="node0", tail="node2",
+            head_device=net.node("node0").device,
+            tail_device=net.node("node2").device,
+            rng=random.Random(seed), estimated_fidelity=0.85,
+            target_fidelity=0.85)
+        app = app_cls(ctx)
+        pairs = 2 * probes_per_basis * app_cls.probe_every
+        handle = net.submit(circuit_id, UserRequest(num_pairs=pairs),
+                            on_matched=app.consume)
+        net.run_until_complete([handle], timeout_s=600)
+        return app.estimate()
+
     def test_estimate_brackets_ground_truth(self):
         net = build_chain_network(3, seed=22)
         circuit_id = net.establish_circuit("node0", "node2", 0.85)
-        estimate = run_test_rounds(net, circuit_id, rounds_per_basis=30,
-                                   timeout_s=600)
+        estimate = self.certify(net, circuit_id, probes_per_basis=30, seed=22)
         assert estimate.rounds_z > 20
         assert estimate.rounds_x > 20
         # 1 − e_Z − e_X is a *lower* bound on fidelity (p0 − p3): it may sit
@@ -458,6 +478,5 @@ class TestFidelityTestRounds:
         circuit_id = net.establish_circuit_manual(
             ["node0", "node1", "node2"], link_fidelity=0.9, cutoff=None,
             max_eer=100.0, estimated_fidelity=0.9)
-        estimate = run_test_rounds(net, circuit_id, rounds_per_basis=25,
-                                   timeout_s=600)
+        estimate = self.certify(net, circuit_id, probes_per_basis=25, seed=23)
         assert estimate.fidelity_lower_bound < 0.85

@@ -44,9 +44,9 @@ def test_catalogue_graphs_connected_and_deterministic(kind, size):
 
 def test_catalogue_expected_shapes():
     assert topology_graph("grid", 4).number_of_nodes() == 16
-    assert topology_graph("ring", 7).number_of_edges() == 7
+    assert len(topology_graph("ring", 7).edges) == 7
     star = topology_graph("star", 3)
-    assert len(list(star.neighbors("hub"))) == 3
+    assert sum(1 for edge in star.edges if "hub" in edge) == 3
     assert star.number_of_nodes() == 7  # hub + 3 arms x 2
     tree = topology_graph("tree", 2)
     assert tree.number_of_nodes() == 7  # balanced binary, height 2
@@ -168,7 +168,7 @@ def test_engine_runs_concurrent_circuits_and_reports():
     assert len(report.arbiters) == 5
     assert all(0.0 <= stats.utilisation <= 1.0 for stats in report.links)
     # Circuits were torn down at the end of the run.
-    assert all(qnp.circuit_ids == [] for qnp in engine.net.qnps.values())
+    assert all(not qnp._circuits for qnp in engine.net.qnps.values())
     # The report renders all its tables.
     text = report.render()
     assert "admission and completion" in text
