@@ -8,7 +8,7 @@ and the QNP keeps per-circuit runtime state next to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -45,14 +45,10 @@ class RoutingEntry:
     cutoff: Optional[float]
     #: The routing protocol's worst-case end-to-end fidelity estimate.
     estimated_fidelity: float = 0.0
-
-    @property
-    def role(self) -> CircuitRole:
-        if self.upstream_node is None:
-            return CircuitRole.HEAD
-        if self.downstream_node is None:
-            return CircuitRole.TAIL
-        return CircuitRole.INTERMEDIATE
+    #: This node's place on the circuit, fixed by which neighbours it has
+    #: (set once: the endpoints of an entry never change, and the rules
+    #: read it several times per pair).
+    role: CircuitRole = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.upstream_node is None and self.downstream_node is None:
@@ -63,3 +59,9 @@ class RoutingEntry:
         if self.upstream_node is not None:
             if self.upstream_link is None or self.upstream_link_label is None:
                 raise ValueError("upstream side needs a link and a label")
+        if self.upstream_node is None:
+            self.role = CircuitRole.HEAD
+        elif self.downstream_node is None:
+            self.role = CircuitRole.TAIL
+        else:
+            self.role = CircuitRole.INTERMEDIATE

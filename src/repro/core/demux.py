@@ -47,10 +47,11 @@ class SymmetricDemultiplexer:
     def next_request(self) -> Optional[str]:
         """Assign the next generated pair to a request (Alg 1 / Alg 4):
         the oldest unfinished request gets every pair until it completes."""
-        eligible = self.eligible_requests()
-        if not eligible:
-            return None
-        return eligible[0]
+        finished = self._finished
+        for request_id in self._epochs.active_requests():
+            if request_id not in finished:
+                return request_id
+        return None
 
     def cross_check(self, local_request_id: Optional[str],
                     track_request_id: str) -> bool:

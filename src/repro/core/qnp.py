@@ -167,7 +167,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
                 # Shaped (queued) requests must abort too: their bandwidth
                 # will never free up on a circuit that no longer exists, and
                 # a handle stuck in QUEUED stalls run_until_complete().
-                handle._finish(RequestStatus.ABORTED, self.now)
+                handle._finish(RequestStatus.ABORTED, self.sim._now)
                 if runtime.policer is not None:
                     runtime.policer.abort(record.request_id)
             handle._close()
@@ -230,7 +230,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         if request.request_id is None:
             request.request_id = self.sim.next_id("req")
         handle = RequestHandle(request, runtime.entry.estimated_fidelity)
-        handle.t_submitted = self.now
+        handle.t_submitted = self.sim._now
         record = RequestRecord(
             request_id=request.request_id,
             request_type=request.request_type,
@@ -243,12 +243,14 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             handle=handle,
             user_request=request,
         )
-        self._emit("REQUEST", request=request.request_id)
+        if self.trace is not None:
+            self._emit("REQUEST", request=request.request_id)
         decision = runtime.policer.admit(request)
-        self._emit("ADMIT", request=request.request_id,
-                   decision=str(decision))
+        if self.trace is not None:
+            self._emit("ADMIT", request=request.request_id,
+                       decision=str(decision))
         if decision == PolicerDecision.REJECT:
-            handle._finish(RequestStatus.REJECTED, self.now)
+            handle._finish(RequestStatus.REJECTED, self.sim._now)
             handle._close()
             return handle
         runtime.requests[request.request_id] = record
@@ -270,7 +272,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         if handle is not None and handle.status == RequestStatus.QUEUED:
             # Still shaped: drop it before it ever starts.
             runtime.policer.drop_queued(request_id)
-            handle._finish(RequestStatus.ABORTED, self.now)
+            handle._finish(RequestStatus.ABORTED, self.sim._now)
             del runtime.requests[request_id]
             self._drop_application(record.head_end_identifier)
             handle._close()
@@ -285,7 +287,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
     def _head_start_request(self, runtime: CircuitRuntime,
                             record: RequestRecord) -> None:
         record.handle.status = RequestStatus.ACTIVE
-        record.handle.t_started = self.now
+        record.handle.t_started = self.sim._now
         runtime.active[record.request_id] = record
         active_ids = self._active_request_ids(runtime)
         epoch = runtime.epochs.create_epoch(active_ids)
@@ -315,8 +317,9 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         if handle is not None:
             if handle.status != RequestStatus.ACTIVE:
                 return  # already completed (late in-flight confirmation)
-            handle._finish(RequestStatus.COMPLETED, self.now)
-            self._emit("REQUEST_DONE", request=record.request_id)
+            handle._finish(RequestStatus.COMPLETED, self.sim._now)
+            if self.trace is not None:
+                self._emit("REQUEST_DONE", request=record.request_id)
         runtime.active.pop(record.request_id, None)
         runtime.demux.mark_finished(record.request_id)
         runtime.policer.release(record.request_id)
@@ -376,7 +379,9 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             return
         if runtime.requests.pop(record.request_id, None) is None:
             return
-        self._drop_application(self._identifier(runtime, record))
+        self._drop_application(
+            record.head_end_identifier if runtime.entry.role is CircuitRole.HEAD
+            else record.tail_end_identifier)
         if record.handle is not None:
             record.handle._close()
 
@@ -429,8 +434,9 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
     # ------------------------------------------------------------------
 
     def _emit(self, kind: str, **detail) -> None:
-        if self.trace is not None:
-            self.trace.record(self.now, self.node.name, kind, **detail)
+        """Record a trace event; callers test ``self.trace is not None``
+        first, so an untraced run builds no detail for it."""
+        self.trace.record(self.sim._now, self.node.name, kind, **detail)
 
     def _send_circuit_message(self, runtime: CircuitRuntime,
                               direction: Direction, message) -> None:
@@ -441,8 +447,9 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             raise RuntimeError(
                 f"{self.name}: cannot send {type(message).__name__} "
                 f"{direction.value} from a circuit {entry.role.value} node")
-        self._emit(type(message).__name__.upper(), to=neighbour,
-                   circuit=entry.circuit_id)
+        if self.trace is not None:
+            self._emit(type(message).__name__.upper(), to=neighbour,
+                       circuit=entry.circuit_id)
         self.node.send(neighbour, "qnp", message)
 
     def _on_node_message(self, message) -> None:
@@ -546,19 +553,14 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
     # Delivery plumbing
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _identifier(runtime: CircuitRuntime, record: RequestRecord) -> int:
-        """The request's end-point identifier at this end of the circuit."""
-        return (record.head_end_identifier
-                if runtime.entry.role == CircuitRole.HEAD
-                else record.tail_end_identifier)
-
     def _deliver(self, runtime: CircuitRuntime, record: RequestRecord,
                  delivery: PairDelivery) -> None:
         """Hand a delivery, or the status change of an EARLY one, to the
         caller's handle and to the end-point's application."""
         if record.handle is not None:
             record.handle._notify(delivery)
-        callback = self._apps.get(self._identifier(runtime, record))
+        callback = self._apps.get(
+            record.head_end_identifier if runtime.entry.role is CircuitRole.HEAD
+            else record.tail_end_identifier)
         if callback is not None:
             callback(delivery)

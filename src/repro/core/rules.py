@@ -52,8 +52,9 @@ class EndNodeRules:
             goodness=delivery.goodness,
             t_create=delivery.t_create,
         )
-        self._emit("LINK_PAIR", correlator=delivery.entanglement_id,
-                   request=request_id)
+        if self.trace is not None:
+            self._emit("LINK_PAIR", correlator=delivery.entanglement_id,
+                       request=request_id)
         if record.request_type == RequestType.MEASURE:
             # Measure immediately, withhold the outcome (Sec 4.1 "Early
             # delivery"); the comm slot frees right away.
@@ -71,7 +72,7 @@ class EndNodeRules:
                 bell_state=None,
                 pair_id=delivery.entanglement_id,
                 t_created=delivery.t_create,
-                t_delivered=self.now,
+                t_delivered=self.sim._now,
                 estimated_fidelity=runtime.entry.estimated_fidelity,
             )
             state.early_delivery = early
@@ -137,7 +138,9 @@ class EndNodeRules:
         # correlator and the other end's TRACK origin, so the sorted pair of
         # the two is a shared, unique end-to-end pair ID.
         pair_id = tuple(sorted((state.correlator, track.origin_correlator)))
-        final_frame = BellIndex(track.outcome_state)
+        final_frame = track.outcome_state
+        if type(final_frame) is not BellIndex:
+            final_frame = BellIndex(final_frame)
         if state.qubit is not None and record.final_state is not None \
                 and runtime.entry.role == CircuitRole.HEAD:
             # Rotate the pair into the requested Bell state (FORWARD's
@@ -156,7 +159,7 @@ class EndNodeRules:
                 bell_state=final_frame,
                 pair_id=pair_id,
                 t_created=state.t_create,
-                t_delivered=self.now,
+                t_delivered=self.sim._now,
                 estimated_fidelity=runtime.entry.estimated_fidelity,
             )
             self._deliver(runtime, record, delivery)
@@ -176,7 +179,7 @@ class EndNodeRules:
                 bell_state=final_frame,
                 pair_id=pair_id,
                 t_created=state.t_create,
-                t_delivered=self.now,
+                t_delivered=self.sim._now,
                 estimated_fidelity=runtime.entry.estimated_fidelity,
             )
             # Hand the qubit to the application; the memory slot frees.
@@ -185,8 +188,9 @@ class EndNodeRules:
 
         record.delivered += 1
         self.pairs_delivered += 1
-        self._emit("PAIR", request=record.request_id,
-                   bell_state=str(final_frame))
+        if self.trace is not None:
+            self._emit("PAIR", request=record.request_id,
+                       bell_state=str(final_frame))
         if runtime.entry.role == CircuitRole.TAIL:
             runtime.epochs.activate(track.epoch)
         if record.number_of_pairs is not None \
@@ -240,9 +244,10 @@ class IntermediateRules:
     def _intermediate_link_rule(self, runtime, delivery: LinkPairDelivery,
                                 from_upstream: bool) -> None:
         direction_state = runtime.upstream if from_upstream else runtime.downstream
-        self._emit("LINK_PAIR", correlator=delivery.entanglement_id,
-                   side="up" if from_upstream else "down",
-                   circuit=runtime.entry.circuit_id)
+        if self.trace is not None:
+            self._emit("LINK_PAIR", correlator=delivery.entanglement_id,
+                       side="up" if from_upstream else "down",
+                       circuit=runtime.entry.circuit_id)
         pair = PairInfo(
             correlator=delivery.entanglement_id,
             qubit=delivery.qubit,
@@ -285,8 +290,9 @@ class IntermediateRules:
         outcome, duration = self.node.device.bell_state_measurement(
             up.qubit, down.qubit)
         self.swaps_performed += 1
-        self._emit("SWAP", up=up.correlator, down=down.correlator,
-                   outcome=outcome, circuit=runtime.entry.circuit_id)
+        if self.trace is not None:
+            self._emit("SWAP", up=up.correlator, down=down.correlator,
+                       outcome=outcome, circuit=runtime.entry.circuit_id)
         self.sim.schedule(duration, self._complete_swap, runtime, up, down,
                           outcome)
 
@@ -367,8 +373,9 @@ class IntermediateRules:
         self.node.device.discard(pair.qubit)
         self.node.qmm.free(pair.correlator)
         self.pairs_discarded += 1
-        self._emit("CUTOFF_DISCARD", correlator=pair.correlator,
-                   circuit=runtime.entry.circuit_id)
+        if self.trace is not None:
+            self._emit("CUTOFF_DISCARD", correlator=pair.correlator,
+                       circuit=runtime.entry.circuit_id)
         pending = direction_state.take_pending_track(pair.correlator)
         if pending is not None:
             self._send_expire(runtime, pending)

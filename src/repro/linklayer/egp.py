@@ -130,7 +130,7 @@ class Link(Entity, Component):
         #: attached by ``attach_tracer`` alongside the QNP engines.
         self.trace = None
         for node in (node_a, node_b):
-            node.qmm.on_slot_freed(self._on_slot_freed)
+            node.qmm.on_slot_freed(name, self._kick)
 
     # ------------------------------------------------------------------
     # Service interface (network layer → link layer)
@@ -270,10 +270,6 @@ class Link(Entity, Component):
     # Generation loop
     # ------------------------------------------------------------------
 
-    def _on_slot_freed(self, pool_name: str) -> None:
-        if pool_name == self.name:
-            self._kick()
-
     def _kick(self) -> None:
         if not self._running:
             self._try_start_round()
@@ -293,22 +289,26 @@ class Link(Entity, Component):
                                    self.node_b.qmm.comm_pool(self.name))
         return pools
 
-    def _slots_free(self) -> bool:
-        pool_a, pool_b = self._comm_pools()
-        return pool_a.in_use < pool_a.capacity and pool_b.in_use < pool_b.capacity
+    def _pick(self, eligible: list[str]) -> Optional[str]:
+        """The purpose to serve next (boosted ones first); ``None`` when
+        nothing is eligible.  Pure: it reads the scheduler, changes
+        nothing."""
+        boosted = [purpose_id for purpose_id in eligible
+                   if self._boosted(purpose_id)] if self._priorities else None
+        return self._scheduler.pick(boosted or eligible)
 
     def _try_start_round(self) -> None:
         if not self.up:
             return
         eligible = self._eligible_purposes()
-        if not eligible or not self._slots_free():
-            return
-        boosted = [purpose_id for purpose_id in eligible
-                   if self._boosted(purpose_id)] if self._priorities else None
-        purpose_id = self._scheduler.pick(boosted or eligible)
-        if purpose_id is None:
+        if not eligible:
             return
         pool_a, pool_b = self._comm_pools()
+        if pool_a.in_use >= pool_a.capacity or pool_b.in_use >= pool_b.capacity:
+            return
+        purpose_id = self._pick(eligible)
+        if purpose_id is None:
+            return
         slot_a = pool_a.try_acquire()
         slot_b = pool_b.try_acquire()
         if slot_a is None or slot_b is None:  # pragma: no cover - guarded above
@@ -388,19 +388,16 @@ class Link(Entity, Component):
         if success and request.active and self.up:
             self._deliver_pair(request, slot_a, slot_b)
         else:
-            eligible = self._eligible_purposes()
-            if (self.up and not arbiters and len(eligible) == 1
-                    and eligible[0] == request.purpose_id):
-                # Fast continue: the slice failed and no other purpose could
-                # be scheduled (eligibility implies the request is live and
-                # endorsed), so start the next slice for the same purpose
-                # with the slots still in hand — skipping the release/notify/
-                # re-pick/re-acquire churn.  Equivalent to the slow path:
-                # the next round starts at the same instant, samples the
-                # same RNG draw, and the scheduler would pick this purpose
-                # again (it is the only one).
-                self._run_round(request.purpose_id, slot_a, slot_b, arbiters)
-                return
+            if self.up and not arbiters:
+                # Slice continue: re-pick through the scheduler and run the
+                # next slice on the slots in hand.  Exactly what releasing
+                # them and kicking would do: the pick is pure, the pools'
+                # LIFO spare lists would hand back these same slots, the
+                # release notifies no listener, and nothing runs in between.
+                purpose_id = self._pick(self._eligible_purposes())
+                if purpose_id is not None:
+                    self._run_round(purpose_id, slot_a, slot_b, arbiters)
+                    return
             slot_a.release()
             slot_b.release()
         if arbiters:

@@ -53,24 +53,19 @@ class ClassicalChannel(Entity, Component):
                  processing_delay: float = 0.0, name: str = ""):
         super().__init__(sim, name or f"cchannel({length_km}km)")
         self.length_km = length_km
+        #: One-way propagation delay (ns); the fibre length never changes.
+        self._fibre_delay = fibre_delay(length_km)
+        #: Read on every send: Fig 10c changes it mid-run.
         self.processing_delay = processing_delay
-        self.add_port("a", CLASSICAL, handler=self._rx_a)
-        self.add_port("b", CLASSICAL, handler=self._rx_b)
+        #: Ports by side index (0 = ``a``, 1 = ``b``) for delivery.
+        self._sides = (self.add_port("a", CLASSICAL, handler=self._rx_a),
+                       self.add_port("b", CLASSICAL, handler=self._rx_b))
         # Earliest allowed delivery time per direction, to preserve FIFO
         # ordering when the processing delay shrinks mid-run.
         self._last_delivery = [0.0, 0.0]
         self.messages_sent = 0
         #: Failure injection: a cut channel silently drops everything.
         self.is_cut = False
-
-    @property
-    def propagation_delay(self) -> float:
-        """One-way propagation delay in ns."""
-        return fibre_delay(self.length_km)
-
-    def total_delay(self) -> float:
-        """Current end-to-end per-message delay in ns."""
-        return self.propagation_delay + self.processing_delay
 
     def cut(self) -> None:
         """Sever the channel (fibre cut): all traffic is dropped until
@@ -94,18 +89,19 @@ class ClassicalChannel(Entity, Component):
         if self.is_cut:
             return
         to_index = 1 - from_index
-        deliver_at = self.now + self.total_delay()
+        sim = self.sim
+        deliver_at = sim._now + (self._fibre_delay + self.processing_delay)
         if deliver_at < self._last_delivery[to_index]:
             deliver_at = self._last_delivery[to_index]
         self._last_delivery[to_index] = deliver_at
         self.messages_sent += 1
         # Deliveries are never cancelled, so use the pooled no-handle path
         # (one recycled EventHandle instead of an allocation per message).
-        self.sim.post_at(deliver_at, self._deliver_to, to_index, message)
+        sim.post_at(deliver_at, self._deliver_to, to_index, message)
 
     def _deliver_to(self, index: int, message: Any) -> None:
         """Hand a message to whatever is connected on side ``index``."""
         # tx() raises PortNotConnectedError (a RuntimeError) when nothing
         # is attached — the same failure mode the receiver-less legacy
         # channel had.
-        self.port("a" if index == 0 else "b").tx(message)
+        self._sides[index].tx(message)

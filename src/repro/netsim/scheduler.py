@@ -199,7 +199,10 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
         handle = EventHandle(callback, args)
         handle.owner = self
-        heapq.heappush(self._queue, (time, next(self._seq), handle))
+        seq = self._seq
+        serial = seq.value
+        seq.value = serial + 1
+        heapq.heappush(self._queue, (time, serial, handle))
         return handle
 
     def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
@@ -223,7 +226,12 @@ class Simulator:
             handle = EventHandle(callback, args)
             handle.owner = self
             handle.pooled = True
-        heapq.heappush(self._queue, (time, next(self._seq), handle))
+        # The serial is taken inline (``next(self._seq)`` without the
+        # method call): this is the hottest call site of the kernel.
+        seq = self._seq
+        serial = seq.value
+        seq.value = serial + 1
+        heapq.heappush(self._queue, (time, serial, handle))
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Relative-delay variant of :meth:`post_at`."""

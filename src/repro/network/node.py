@@ -117,6 +117,6 @@ class QuantumNode(Entity, Component):
     def _on_message(self, neighbour: str, message: Any) -> None:
         kind, sender, payload = message
         port = self._services.get(kind)
-        if port is None or not port.connected:
+        if port is None or port.peer is None:
             raise RuntimeError(f"{self.name}: no handler for message kind {kind!r}")
         port.tx((sender, payload))

@@ -82,13 +82,11 @@ class QuantumMemoryManager:
 
     def __init__(self, node_name: str):
         self.node_name = node_name
-        #: Immutable copy of the listener list — iterated on every slot
-        #: release, so it must not be rebuilt (or mutated) per call.
-        self._listener_snapshot: tuple = ()
         self._link_pools: dict[str, SlotPool] = {}
         self._storage_pool = SlotPool("storage", 0)
         self._by_correlator: dict[Correlator, Qubit] = {}
-        self._free_listeners: list[Callable[[str], None]] = []
+        #: The one slot-freed listener of each pool, by pool name.
+        self._freed_listeners: dict[str, Callable[[], None]] = {}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -117,13 +115,18 @@ class QuantumMemoryManager:
         layer caches it to skip the per-round name lookup)."""
         return self._pool(link_name)
 
-    def on_slot_freed(self, listener: Callable[[str], None]) -> None:
-        """Subscribe to slot releases (the link scheduler wakes on these).
+    def on_slot_freed(self, pool_name: str,
+                      listener: Callable[[], None]) -> None:
+        """Subscribe to slot releases of one pool (link name or
+        ``"storage"``); the link scheduler wakes on its own pool's.
 
-        The listener receives the pool name (link name or ``"storage"``).
+        A pool has at most one listener, called with no argument, so a
+        release wakes only the link that can use the slot.
         """
-        self._free_listeners.append(listener)
-        self._listener_snapshot = tuple(self._free_listeners)
+        if pool_name in self._freed_listeners:
+            raise ValueError(
+                f"{self.node_name}: pool {pool_name!r} already has a listener")
+        self._freed_listeners[pool_name] = listener
 
     # ------------------------------------------------------------------
     # Correlator registry (Appendix C's qmm.get / qmm.free)
@@ -156,10 +159,10 @@ class QuantumMemoryManager:
         slot = qubit.owner
         if slot is None:
             return
-        pool_name = slot.pool.name
+        listener = self._freed_listeners.get(slot.pool.name)
         slot.release()
-        for listener in self._listener_snapshot:
-            listener(pool_name)
+        if listener is not None:
+            listener()
 
     def rebind_slot(self, qubit: Qubit, new_slot: Slot) -> None:
         """Move a qubit to a different slot (comm → storage moves)."""
@@ -167,13 +170,13 @@ class QuantumMemoryManager:
         correlator = old_slot.correlator if old_slot is not None else None
         new_slot.commit(qubit, correlator)
         if old_slot is not None and old_slot is not new_slot:
-            old_pool = old_slot.pool.name
+            listener = self._freed_listeners.get(old_slot.pool.name)
             old_slot.qubit = None
             old_slot.correlator = None
             old_slot.pool._release(old_slot)
             qubit.owner = new_slot
-            for listener in self._listener_snapshot:
-                listener(old_pool)
+            if listener is not None:
+                listener()
 
     # ------------------------------------------------------------------
 

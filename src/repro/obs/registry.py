@@ -5,11 +5,11 @@ One :class:`MetricsRegistry` lives on every :class:`~repro.network.Network`
 policer/arbiter, traffic engine and applications publish their numbers.
 Two publication styles coexist:
 
-* **pull** — an instrument constructed with a ``source`` callable holds no
-  state of its own; reading it polls the producer's existing stat field
-  (``link.attempts_made``, ``sim.events_processed``, …).  This is the
-  default for everything the simulator already counts: zero hot-path
-  cost, the registry only pays at snapshot time.
+* **pull** — an instrument constructed with a ``source`` callable (every
+  gauge is) holds no state of its own; reading it polls the producer's
+  existing stat field (``link.attempts_made``, ``sim.events_processed``,
+  …).  This is the default for everything the simulator already counts:
+  zero hot-path cost, the registry only pays at snapshot time.
 * **push** — counters without a source are incremented explicitly
   (``counter.inc()``), and histograms count samples into fixed
   log-linear buckets as they arrive, so quantiles stay available, within
@@ -65,21 +65,21 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time level (heap size, queue depth, busy time)."""
+    """A point-in-time level (heap size, queue depth, busy time).
 
-    __slots__ = ("name", "_value", "_source")
+    Always pull-based: reading it polls ``source``.
+    """
 
-    def __init__(self, name: str, source: Optional[Callable[[], float]] = None):
+    __slots__ = ("name", "_source")
+
+    def __init__(self, name: str, source: Callable[[], float]):
         self.name = name
-        self._value = 0.0
         self._source = source
 
     @property
     def value(self):
-        """Current level (polls the source when pull-based)."""
-        if self._source is not None:
-            return self._source()
-        return self._value
+        """Current level, polled from the source."""
+        return self._source()
 
 
 class Histogram:
@@ -190,9 +190,8 @@ class MetricsRegistry:
         return self._get_or_create(name, Counter,
                                    lambda: Counter(name, source))
 
-    def gauge(self, name: str,
-              source: Optional[Callable[[], float]] = None) -> Gauge:
-        """Get or create the gauge ``name``."""
+    def gauge(self, name: str, source: Callable[[], float]) -> Gauge:
+        """Get or create the gauge ``name``, which polls ``source``."""
         return self._get_or_create(name, Gauge, lambda: Gauge(name, source))
 
     def histogram(self, name: str) -> Histogram:

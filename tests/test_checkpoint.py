@@ -320,7 +320,7 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
     def test_old_version_envelope_rejected(self, tmp_path, version):
         # Older layouts: versions 1-3 carried the process-global ID
         # counters in the envelope (1 also the Bell weight store's peak
@@ -331,8 +331,10 @@ class TestEnvelope:
         # handles and wrapped the cutoff and keepalive handles in timer
         # objects, 8 pickled every handle's delivery and matched-pair
         # lists and kept finished requests' records, 9 pickled
-        # neither the kernel's run bound nor a handle's drain waiter, and
-        # 10 pickled the topology as a networkx graph.
+        # neither the kernel's run bound nor a handle's drain waiter,
+        # 10 pickled the topology as a networkx graph, and 11 pickled a
+        # routing entry without its role, a channel without its cached
+        # fibre delay and a memory manager's broadcast listener list.
         # The engine blob is not a pickle, so deserialising it would
         # fail with "corrupt engine state": the version check must come
         # first.

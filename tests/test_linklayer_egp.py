@@ -360,3 +360,65 @@ def test_statistics_counters():
     assert link.pairs_generated > 0
     assert link.attempts_made >= link.pairs_generated
     assert 0 < link.busy_time <= 1 * S
+
+
+def test_slice_sequence_with_three_weighted_purposes():
+    """Three purposes of different weights share a link whose slices
+    mostly fail (20 attempts at F = 0.85–0.95); one purpose ends inside
+    one of its slices, and the link fails inside a slice and is restored
+    later.  The per-slice ``(purpose, burst)`` sequence, the counters,
+    the delivered correlators and the link's RNG position are pinned:
+    every failed slice re-picks through the fair-share scheduler, so a
+    change in how a slice continues that moves one pick or one draw
+    shows here.  Recorded at commit a082060, which released both slots
+    and re-acquired them after every failed multi-purpose slice."""
+    t_end, t_fail, t_restore = 0.1234567 * S, 0.2345678 * S, 0.3456789 * S
+    sim, link, node_a, node_b, _, _ = make_link(seed=37, slice_attempts=20,
+                                                wire=False)
+    delivered = []
+
+    def consume_a(delivery):
+        delivered.append((delivery.entanglement_id, delivery.purpose_id,
+                          int(delivery.bell_index)))
+        drain(node_a, delivery)
+
+    subscribe_ends(link, consume_a, lambda d: drain(node_b, d))
+    slices = []
+    charge = link._scheduler.charge
+
+    def recording_charge(purpose_id, busy):
+        # Every slice charges its purpose once, at the slice's end.
+        slices.append((purpose_id, round(busy / link._cycle_time), sim.now))
+        charge(purpose_id, busy)
+
+    link._scheduler.charge = recording_charge
+    link.set_request("p0", min_fidelity=0.9, lpr=10.0)
+    link.set_request("p1", min_fidelity=0.95, lpr=30.0)
+    link.set_request("p2", min_fidelity=0.85, lpr=60.0)
+    sim.schedule(t_end, link.end_request, "p1")
+    sim.schedule(t_fail, link.fail)
+    sim.schedule(t_restore, link.restore)
+    sim.run(until=0.5 * S)
+
+    def running_at(t):
+        for purpose_id, burst, t_finish in slices:
+            if t_finish - burst * link._cycle_time < t < t_finish:
+                return purpose_id
+        return None
+
+    assert running_at(t_end) == "p1"
+    assert running_at(t_fail) is not None
+    assert not any(t_fail < t_finish - burst * link._cycle_time < t_restore
+                   for _, burst, t_finish in slices)
+    sequence = [(purpose_id, burst) for purpose_id, burst, _ in slices]
+    counts = {purpose_id: sum(1 for p, _ in sequence if p == purpose_id)
+              for purpose_id in ("p0", "p1", "p2")}
+    assert (len(sequence), counts) == (
+        1895, {"p0": 244, "p1": 178, "p2": 1473})
+    assert hashlib.sha256(repr(sequence).encode()).hexdigest() == (
+        "3283cc57023cb831d7005c796f5d58a2959593815cff5055a76340b0b429b60b")
+    assert len(delivered) == link.pairs_generated == 94
+    assert hashlib.sha256(repr(delivered).encode()).hexdigest() == (
+        "f75b31df7322bb59f34a4d0e53ec405c0ad2b2e7bd9e3eae054be0e07213aa66")
+    assert (link.attempts_made, link.busy_time) == (36897, 388931277.0)
+    assert link._next_u() == 0.5607007853062053

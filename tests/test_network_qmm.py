@@ -1,5 +1,7 @@
 """Tests for the quantum memory manager and device arbiter."""
 
+from functools import partial
+
 import pytest
 
 from repro.network import DeviceArbiter, QuantumMemoryManager, acquire_ordered, release_all
@@ -85,7 +87,8 @@ class TestCorrelatorRegistry:
     def test_free_releases_slot_and_notifies(self):
         qmm, correlator, qubit = self.make()
         freed_pools = []
-        qmm.on_slot_freed(freed_pools.append)
+        for pool_name in ("l1", "storage"):
+            qmm.on_slot_freed(pool_name, partial(freed_pools.append, pool_name))
         returned = qmm.free(correlator)
         assert returned is qubit
         assert qmm.get(correlator) is None
@@ -105,7 +108,8 @@ class TestCorrelatorRegistry:
         qmm, correlator, qubit = self.make()
         qmm.configure_storage(1)
         freed = []
-        qmm.on_slot_freed(freed.append)
+        for pool_name in ("l1", "storage"):
+            qmm.on_slot_freed(pool_name, partial(freed.append, pool_name))
         storage_slot = qmm.try_acquire_storage()
         qmm.rebind_slot(qubit, storage_slot)
         assert qmm.comm_pool("l1").in_use == 0
@@ -115,6 +119,12 @@ class TestCorrelatorRegistry:
         # Freeing now releases the storage slot.
         qmm.free(correlator)
         assert qmm.try_acquire_storage() is not None
+
+    def test_one_listener_per_pool(self):
+        qmm, _, _ = self.make()
+        qmm.on_slot_freed("l1", list)
+        with pytest.raises(ValueError, match="already has a listener"):
+            qmm.on_slot_freed("l1", list)
 
     def test_stats(self):
         qmm, _, _ = self.make()

@@ -122,7 +122,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.gauge("x", source=lambda: 0.0)
         with pytest.raises(TypeError):
             reg.histogram("x")
 
