@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..netsim.entity import Entity
-from ..netsim.ports import Component, connect
 from ..netsim.scheduler import EventHandle
 from ..netsim.units import MS
-from ..network.node import QuantumNode, service_protocol
+from ..network.node import QuantumNode
 
 
 @dataclass
@@ -43,20 +42,14 @@ class Pong:
     index: int
 
 
-class LivenessAgent(Entity, Component):
+class LivenessAgent(Entity):
     """Per-node liveness protocol instance (message relay + endpoints)."""
 
     def __init__(self, node: QuantumNode):
         super().__init__(node.sim, name=f"{node.name}.liveness")
         self.node = node
-        connect(self.add_port("node", service_protocol("liveness"),
-                              handler=self._on_node_message),
-                node.service_port("liveness"))
+        node.serve("liveness", self._on_message)
         self._monitors: dict[str, "_CircuitMonitor"] = {}
-
-    def _on_node_message(self, message) -> None:
-        """Port handler: unpack the node's ``(sender, payload)`` tuple."""
-        self._on_message(*message)
 
     # ------------------------------------------------------------------
     # Head-end API
@@ -89,13 +82,13 @@ class LivenessAgent(Entity, Component):
         if isinstance(message, Ping):
             if message.index + 1 < len(message.path):
                 message.index += 1
-                self.node.send(message.path[message.index], "liveness", message)
+                self.node.channel_end(message.path[message.index], "liveness").send(message)
             else:
                 # Tail-end: answer back along the path.
                 pong = Pong(circuit_id=message.circuit_id,
                             sequence=message.sequence,
                             path=message.path, index=len(message.path) - 2)
-                self.node.send(message.path[-2], "liveness", pong)
+                self.node.channel_end(message.path[-2], "liveness").send(pong)
         elif isinstance(message, Pong):
             if message.index == 0:
                 monitor = self._monitors.get(message.circuit_id)
@@ -103,7 +96,7 @@ class LivenessAgent(Entity, Component):
                     monitor.on_pong(message.sequence)
             else:
                 message.index -= 1
-                self.node.send(message.path[message.index], "liveness", message)
+                self.node.channel_end(message.path[message.index], "liveness").send(message)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected liveness message {message!r}")
 
@@ -153,7 +146,7 @@ class _CircuitMonitor:
         self._sequence += 1
         ping = Ping(circuit_id=self.circuit_id, sequence=self._sequence,
                     path=self.path, index=1)
-        self.agent.node.send(self.path[1], "liveness", ping)
+        self.agent.node.channel_end(self.path[1], "liveness").send(ping)
 
     def _declare_failed(self) -> None:
         self.failed = True

@@ -18,8 +18,7 @@ from typing import Callable, Optional
 
 from ..core.circuit import RoutingEntry
 from ..netsim.entity import Entity
-from ..netsim.ports import Component, connect
-from ..network.node import QuantumNode, service_protocol
+from ..network.node import QuantumNode
 
 
 @dataclass
@@ -50,20 +49,14 @@ class TearMessage:
     index: int = 0
 
 
-class SignallingAgent(Entity, Component):
+class SignallingAgent(Entity):
     """Per-node signalling protocol instance."""
 
     def __init__(self, node: QuantumNode):
         super().__init__(node.sim, name=f"{node.name}.signalling")
         self.node = node
-        connect(self.add_port("node", service_protocol("signalling"),
-                              handler=self._on_node_message),
-                node.service_port("signalling"))
+        node.serve("signalling", self._on_message)
         self._pending_ready: dict[str, Callable[[str], None]] = {}
-
-    def _on_node_message(self, message) -> None:
-        """Port handler: unpack the node's ``(sender, payload)`` tuple."""
-        self._on_message(*message)
 
     # ------------------------------------------------------------------
     # Head-end API
@@ -84,16 +77,15 @@ class SignallingAgent(Entity, Component):
             self._pending_ready[circuit_id] = on_ready
         self.node.qnp.install_circuit(entries[0])
         message = PathMessage(circuit_id=circuit_id, entries=entries, index=1)
-        self.node.send(entries[1].node, "signalling", message)
+        self.node.channel_end(entries[1].node, "signalling").send(message)
         return circuit_id
 
     def teardown(self, circuit_id: str, path: list[str]) -> None:
         """Remove a circuit along its path (head-end initiated)."""
         self.node.qnp.uninstall_circuit(circuit_id)
         if len(path) > 1:
-            self.node.send(path[1], "signalling",
-                           TearMessage(circuit_id=circuit_id,
-                                       entries_path=path, index=1))
+            tear = TearMessage(circuit_id=circuit_id, entries_path=path, index=1)
+            self.node.channel_end(path[1], "signalling").send(tear)
 
     # ------------------------------------------------------------------
     # Message handling
@@ -116,14 +108,14 @@ class SignallingAgent(Entity, Component):
         self.node.qnp.install_circuit(entry)
         if message.index + 1 < len(message.entries):
             message.index += 1
-            self.node.send(message.entries[message.index].node, "signalling",
-                           message)
+            self.node.channel_end(message.entries[message.index].node,
+                                  "signalling").send(message)
         else:
             # Tail-end: confirm back along the path.
             path = [e.node for e in message.entries]
             resv = ResvMessage(circuit_id=message.circuit_id, path=path,
                                index=len(path) - 2)
-            self.node.send(path[-2], "signalling", resv)
+            self.node.channel_end(path[-2], "signalling").send(resv)
 
     def _on_resv(self, message: ResvMessage) -> None:
         if message.index == 0:
@@ -132,11 +124,11 @@ class SignallingAgent(Entity, Component):
                 callback(message.circuit_id)
             return
         message.index -= 1
-        self.node.send(message.path[message.index], "signalling", message)
+        self.node.channel_end(message.path[message.index], "signalling").send(message)
 
     def _on_tear(self, message: TearMessage) -> None:
         self.node.qnp.uninstall_circuit(message.circuit_id)
         if message.index + 1 < len(message.entries_path):
             message.index += 1
-            self.node.send(message.entries_path[message.index], "signalling",
-                           message)
+            self.node.channel_end(message.entries_path[message.index],
+                                  "signalling").send(message)

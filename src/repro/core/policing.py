@@ -34,13 +34,6 @@ class Policer:
         self.max_eer = max_eer
         self._active: dict[str, float] = {}
         self._queue: deque[UserRequest] = deque()
-        # Admission statistics (the traffic telemetry reads these).
-        self.accepted_count = 0
-        self.queued_count = 0
-        self.rejected_count = 0
-        #: Admitted requests later aborted (circuit teardown or failure) —
-        #: distinguishes RECOVERED/LOST accounting from plain rejections.
-        self.aborted_count = 0
 
     @property
     def allocated_eer(self) -> float:
@@ -62,17 +55,14 @@ class Policer:
         needed = request.minimum_eer()
         if needed > self.max_eer:
             # Even an empty circuit cannot satisfy it: police.
-            self.rejected_count += 1
             return PolicerDecision.REJECT
         if needed <= self.available_eer and not self._queue:
             self._activate(request)
-            self.accepted_count += 1
             return PolicerDecision.ACCEPT
         # Fits eventually: shape.  Queued requests start in FIFO order once
         # the head's EER fits (``next_startable``); a request's deadline is
         # not checked while it waits.
         self._queue.append(request)
-        self.queued_count += 1
         return PolicerDecision.QUEUE
 
     def release(self, request_id: str) -> None:
@@ -99,17 +89,12 @@ class Policer:
         return False
 
     def abort(self, request_id: str) -> None:
-        """Account for an admitted request killed by circuit teardown.
-
-        Frees the request's EER share (or queue slot) and bumps
-        ``aborted_count`` so the admission telemetry can tell aborted
-        sessions apart from policed (rejected) ones.
-        """
+        """Account for an admitted request killed by circuit teardown:
+        free its EER share (or queue slot)."""
         if request_id in self._active:
             self._active.pop(request_id)
         else:
             self.drop_queued(request_id)
-        self.aborted_count += 1
 
     def _activate(self, request: UserRequest) -> None:
         self._active[request.request_id] = request.minimum_eer()

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..linklayer.service import LinkPairDelivery
+from ..netsim.channels import ChannelEnd
 from ..netsim.entity import Entity
 from ..netsim.ports import Component, connect
-from ..network.node import QuantumNode, service_protocol
+from ..network.node import QuantumNode
 from ..quantum.bell import BellIndex
 from .circuit import CircuitRole, RoutingEntry
 from .demux import SymmetricDemultiplexer
@@ -84,6 +85,10 @@ class CircuitRuntime:
     active: dict = field(default_factory=dict)
     policer: Optional[Policer] = None
     link_request_active: bool = False
+    #: Channel ends towards the upstream and downstream neighbours, bound
+    #: at install (``None`` at the circuit's ends).
+    upstream_end: Optional[ChannelEnd] = None
+    downstream_end: Optional[ChannelEnd] = None
 
     def __post_init__(self):
         self.demux = SymmetricDemultiplexer(self.epochs)
@@ -96,9 +101,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         super().__init__(node.sim, name=f"{node.name}.qnp")
         self.node = node
         node.qnp = self
-        connect(self.add_port("node", service_protocol("qnp"),
-                              handler=self._on_node_message),
-                node.service_port("qnp"))
+        node.serve("qnp", self._on_message)
         #: Ablation knob: wait for TRACK messages before swapping
         #: (the QNP never does this — Sec 4.1 "lazy entanglement tracking").
         self.blocking_tracking = blocking_tracking
@@ -131,7 +134,13 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         """Install the data plane state for a virtual circuit."""
         if entry.circuit_id in self._circuits:
             raise ValueError(f"circuit {entry.circuit_id} already installed")
-        runtime = CircuitRuntime(entry=entry)
+        node = self.node
+        runtime = CircuitRuntime(
+            entry=entry,
+            upstream_end=(None if entry.upstream_node is None
+                          else node.channel_end(entry.upstream_node, "qnp")),
+            downstream_end=(None if entry.downstream_node is None
+                            else node.channel_end(entry.downstream_node, "qnp")))
         if entry.role == CircuitRole.HEAD:
             runtime.policer = Policer(entry.circuit_max_eer)
         self._circuits[entry.circuit_id] = runtime
@@ -441,22 +450,21 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
     def _send_circuit_message(self, runtime: CircuitRuntime,
                               direction: Direction, message) -> None:
         entry = runtime.entry
-        neighbour = (entry.downstream_node if direction == Direction.DOWNSTREAM
-                     else entry.upstream_node)
-        if neighbour is None:
+        if direction == Direction.DOWNSTREAM:
+            neighbour, end = entry.downstream_node, runtime.downstream_end
+        else:
+            neighbour, end = entry.upstream_node, runtime.upstream_end
+        if end is None:
             raise RuntimeError(
                 f"{self.name}: cannot send {type(message).__name__} "
                 f"{direction.value} from a circuit {entry.role.value} node")
         if self.trace is not None:
             self._emit(type(message).__name__.upper(), to=neighbour,
                        circuit=entry.circuit_id)
-        self.node.send(neighbour, "qnp", message)
-
-    def _on_node_message(self, message) -> None:
-        """Port handler: unpack the node's ``(sender, payload)`` tuple."""
-        self._on_message(*message)
+        end.send(message)
 
     def _on_message(self, sender: str, message) -> None:
+        """Inbound QNP message from neighbour ``sender``: run its rule."""
         runtime = self._circuits.get(message.circuit_id)
         if runtime is None:
             return  # circuit torn down; drop silently

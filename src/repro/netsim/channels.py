@@ -12,24 +12,59 @@ channel still enforces in-order delivery by never letting a message overtake
 an earlier one (like a TCP stream would).
 
 Wiring: a channel is a :class:`~repro.netsim.ports.Component` with two
-ports, ``"a"`` and ``"b"`` (protocol :data:`CLASSICAL`).  A message
-received on one port is delivered out of the opposite port after the
-channel delay.  Code that injects messages by hand subscribes to a port
-(:func:`~repro.netsim.ports.subscribe`) and sends through the adapter's ``io`` port.
+ports, ``"a"`` and ``"b"`` (protocol :data:`CLASSICAL`).  Everything
+crosses it through a :class:`ChannelEnd`, one direction bound when it is
+wired to the handler at the far end of the chain: a node binds one per
+neighbour and message kind, straight to the agent serving the kind there.
+The ports have their own two ends: what is handed to one port leaves
+through the other, to whatever is connected there when it arrives (a
+:func:`~repro.netsim.ports.subscribe` adapter, for hand-driven tests).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Optional
 
 from .entity import Entity
-from .ports import Component
+from .ports import Component, Port
 from .scheduler import Simulator
 from .units import fibre_delay
 
 #: Protocol tag spoken by classical-channel ports and the node ports that
 #: attach to them.
 CLASSICAL = "classical"
+
+
+class ChannelEnd:
+    """One direction of a :class:`ClassicalChannel`, bound to its receiver:
+    :meth:`send` schedules ``handler(message)`` for the arrival time."""
+
+    def __init__(self, channel: ClassicalChannel, to_index: int):
+        self.channel = channel
+        #: Side the end delivers to (0 = ``a``, 1 = ``b``).
+        self.to_index = to_index
+        self._handler: Optional[Callable[[Any], None]] = None
+
+    def bind(self, handler: Callable[[Any], None]) -> ChannelEnd:
+        """Deliver what this end carries to ``handler``; returns the end."""
+        self._handler = handler
+        return self
+
+    def send(self, message: Any) -> None:
+        """Carry ``message`` across the channel to the bound handler."""
+        channel = self.channel
+        if channel.is_cut:
+            return
+        sim = channel.sim
+        deliver_at = sim._now + (channel._fibre_delay + channel.processing_delay)
+        last_delivery = channel._last_delivery
+        to_index = self.to_index
+        if deliver_at < last_delivery[to_index]:
+            deliver_at = last_delivery[to_index]
+        last_delivery[to_index] = deliver_at
+        # Deliveries are never cancelled, so use the pooled no-handle path
+        # (one recycled EventHandle instead of an allocation per message).
+        sim.post_at(deliver_at, self._handler, message)
 
 
 class ClassicalChannel(Entity, Component):
@@ -57,15 +92,20 @@ class ClassicalChannel(Entity, Component):
         self._fibre_delay = fibre_delay(length_km)
         #: Read on every send: Fig 10c changes it mid-run.
         self.processing_delay = processing_delay
-        #: Ports by side index (0 = ``a``, 1 = ``b``) for delivery.
-        self._sides = (self.add_port("a", CLASSICAL, handler=self._rx_a),
-                       self.add_port("b", CLASSICAL, handler=self._rx_b))
         # Earliest allowed delivery time per direction, to preserve FIFO
         # ordering when the processing delay shrinks mid-run.
         self._last_delivery = [0.0, 0.0]
-        self.messages_sent = 0
         #: Failure injection: a cut channel silently drops everything.
         self.is_cut = False
+        #: The ports' own ends, by the side they send from.
+        self._ends = (ChannelEnd(self, 1), ChannelEnd(self, 0))
+        #: Ports by side index (0 = ``a``, 1 = ``b``).
+        self._sides = (self.add_port("a", CLASSICAL, handler=self._ends[0].send),
+                       self.add_port("b", CLASSICAL, handler=self._ends[1].send))
+        # What crosses to a side leaves through its port: Port.tx raises
+        # PortNotConnectedError on arrival when nothing is connected there.
+        for end in self._ends:
+            end.bind(self._sides[end.to_index].tx)
 
     def cut(self) -> None:
         """Sever the channel (fibre cut): all traffic is dropped until
@@ -77,31 +117,11 @@ class ClassicalChannel(Entity, Component):
         """Repair a cut channel."""
         self.is_cut = False
 
-    def _rx_a(self, message: Any) -> None:
-        """Port ``a`` inbound handler: transmit towards side b."""
-        self._transmit(0, message)
+    def across(self, side: Port) -> Port:
+        """The channel's port on the other side from ``side``."""
+        return self._sides[1 - self._sides.index(side)]
 
-    def _rx_b(self, message: Any) -> None:
-        """Port ``b`` inbound handler: transmit towards side a."""
-        self._transmit(1, message)
-
-    def _transmit(self, from_index: int, message: Any) -> None:
-        if self.is_cut:
-            return
-        to_index = 1 - from_index
-        sim = self.sim
-        deliver_at = sim._now + (self._fibre_delay + self.processing_delay)
-        if deliver_at < self._last_delivery[to_index]:
-            deliver_at = self._last_delivery[to_index]
-        self._last_delivery[to_index] = deliver_at
-        self.messages_sent += 1
-        # Deliveries are never cancelled, so use the pooled no-handle path
-        # (one recycled EventHandle instead of an allocation per message).
-        sim.post_at(deliver_at, self._deliver_to, to_index, message)
-
-    def _deliver_to(self, index: int, message: Any) -> None:
-        """Hand a message to whatever is connected on side ``index``."""
-        # tx() raises PortNotConnectedError (a RuntimeError) when nothing
-        # is attached — the same failure mode the receiver-less legacy
-        # channel had.
-        self._sides[index].tx(message)
+    def end(self, side: Port) -> ChannelEnd:
+        """A new end sending from ``side`` across the channel; bind it to
+        the handler that receives."""
+        return ChannelEnd(self, 1 - self._sides.index(side))

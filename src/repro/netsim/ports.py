@@ -1,14 +1,7 @@
 """Typed component-and-port wiring for the simulation graph.
 
-Historically the builder wired protocol machines together by assigning
-callbacks onto each other's attributes.  That made the wiring invisible —
-there was no object that *was* the connection, nothing validated that the
-two sides spoke the same message protocol, and every new layer
-(multi-domain gateways, alternative physical models) had to invent its
-own ad-hoc attachment point.
-
-This module is the replacement seam, modelled on NetSquid's
-component/port idiom:
+Modelled on NetSquid's component/port idiom: the connection between two
+components is an object that was checked when it was made.
 
 * a :class:`Component` owns named :class:`Port` objects, each declaring
   the **message protocol** it speaks (a plain string tag such as
@@ -17,16 +10,20 @@ component/port idiom:
   protocols or double connections with typed errors that name the
   offending components;
 * :meth:`Port.tx` hands a message to the peer port's handler
-  **synchronously** — ports add no scheduling of their own, so rewiring
-  a callback-based graph onto ports is event-schedule-neutral (the
-  byte-identical-telemetry guarantee the analytic link model pins);
+  **synchronously** — ports add no scheduling of their own, so latency
+  belongs to the component in the middle;
 * everything is plain attributes and module-level callables, so a wired
   graph pickles — :mod:`repro.persist` checkpoints the whole engine and
   the port topology must survive the round trip.
 
-Handlers must therefore be picklable themselves: bound methods or
-:func:`functools.partial` over bound methods, never lambdas or local
-closures.
+A path that crosses several components is resolved when it is wired, not
+per message: the classical channel binds each direction to the handler
+at the far end of the chain (see :mod:`repro.netsim.channels`), NetSquid's
+``forward_input`` declared once.
+
+Handlers, resolved ones included, are part of the pickled graph: bound
+methods or :func:`functools.partial` over bound methods, never lambdas
+or local closures.
 """
 
 from __future__ import annotations

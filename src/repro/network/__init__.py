@@ -1,12 +1,11 @@
 """Network assembly: nodes, memory management, device arbitration, topologies."""
 
 from .arbiter import DeviceArbiter, acquire_ordered, release_all
-from .node import QuantumNode, service_protocol
+from .node import QuantumNode
 from .qmm import QuantumMemoryManager, Slot, SlotPool
 
 __all__ = [
     "QuantumNode",
-    "service_protocol",
     "QuantumMemoryManager",
     "Slot",
     "SlotPool",

@@ -5,36 +5,30 @@ memory management unit, a task scheduler (device arbiter), classical
 channels to its neighbours, and the network stack (link layer endpoints and
 the QNP engine) that gets attached by the topology builder.
 
-Wiring (the component-and-port layer, see :mod:`repro.netsim.ports`):
-
-* one ``cl:<neighbour>`` port per neighbour (protocol ``"classical"``),
-  connected by the builder to the classical channel towards that
-  neighbour; inbound messages are ``(kind, sender, payload)`` tuples;
-* one ``svc:<kind>`` port per message kind (protocol ``"svc:<kind>"``),
-  connected by the protocol agent that serves the kind (QNP engine,
-  signalling, liveness); the node demultiplexes inbound classical
-  messages onto these ports as ``(sender, payload)``.
+Wiring (see :mod:`repro.netsim.ports`): one ``cl:<neighbour>`` port per
+neighbour (protocol ``"classical"``), which the builder connects to the
+classical channel towards that neighbour.  Each protocol agent (QNP
+engine, signalling, liveness) registers the handler for its message kind
+with :meth:`QuantumNode.serve` and sends through
+:meth:`QuantumNode.channel_end`, bound to the agent that serves the kind
+at the neighbour: a message crosses no node code.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..hardware.nv import NVDevice
 from ..hardware.parameters import HardwareParams
-from ..netsim.channels import CLASSICAL
+from ..netsim.channels import CLASSICAL, ChannelEnd
 from ..netsim.entity import Entity
-from ..netsim.ports import Component, Port
+from ..netsim.ports import (Component, Port, PortAlreadyConnectedError,
+                            PortNotConnectedError)
 from ..netsim.scheduler import Simulator
 from ..quantum.backends import Backend, get_backend
 from .arbiter import DeviceArbiter
 from .qmm import QuantumMemoryManager
-
-
-def service_protocol(kind: str) -> str:
-    """Protocol tag of a node service port for a message kind."""
-    return f"svc:{kind}"
 
 
 class QuantumNode(Entity, Component):
@@ -57,8 +51,10 @@ class QuantumNode(Entity, Component):
         self.links: dict[str, Any] = {}
         #: Classical ports by neighbour node name.
         self._classical: dict[str, Port] = {}
-        #: Service ports by message kind (demux table for ``_on_message``).
-        self._services: dict[str, Port] = {}
+        #: Inbound handler per message kind, ``handler(sender, payload)``.
+        self._served: dict[str, Callable[[str, Any], None]] = {}
+        #: Bound channel ends by ``(neighbour, kind)``.
+        self._ends: dict[tuple[str, str], ChannelEnd] = {}
         #: Neighbour name per link name.
         self.link_neighbour: dict[str, str] = {}
         #: The QNP engine (attached by the builder).
@@ -85,38 +81,36 @@ class QuantumNode(Entity, Component):
 
         Created on first use; the builder connects it to one end of the
         :class:`~repro.netsim.channels.ClassicalChannel` for the hop.
-        The inbound handler demultiplexes ``(kind, sender, payload)``
-        tuples onto the matching ``svc:<kind>`` port.
         """
         port = self._classical.get(neighbour)
         if port is None:
-            port = self.add_port(f"cl:{neighbour}", CLASSICAL,
-                                 handler=partial(self._on_message, neighbour))
+            port = self.add_port(f"cl:{neighbour}", CLASSICAL)
             self._classical[neighbour] = port
         return port
 
-    def service_port(self, kind: str) -> Port:
-        """The port a protocol agent connects to serve message ``kind``.
+    def serve(self, kind: str, handler: Callable[[str, Any], None]) -> None:
+        """Register the agent handler for inbound ``kind`` messages."""
+        if kind in self._served:
+            raise PortAlreadyConnectedError(
+                f"{self.name}: message kind {kind!r} is already served")
+        self._served[kind] = handler
 
-        Created on first use.  Messages travelling node → agent are
-        ``(sender, payload)`` tuples.
-        """
-        port = self._services.get(kind)
-        if port is None:
-            port = self.add_port(f"svc:{kind}", service_protocol(kind))
-            self._services[kind] = port
-        return port
-
-    def send(self, neighbour: str, kind: str, payload: Any) -> None:
-        """Send a classical control message to a directly connected node."""
-        port = self._classical.get(neighbour)
-        if port is None:
-            raise KeyError(f"{self.name}: no classical channel to {neighbour}")
-        port.tx((kind, self.name, payload))
-
-    def _on_message(self, neighbour: str, message: Any) -> None:
-        kind, sender, payload = message
-        port = self._services.get(kind)
-        if port is None or port.peer is None:
-            raise RuntimeError(f"{self.name}: no handler for message kind {kind!r}")
-        port.tx((sender, payload))
+    def channel_end(self, neighbour: str, kind: str) -> ChannelEnd:
+        """The end carrying ``kind`` messages to ``neighbour``, bound on
+        first use to ``handler(self.name, payload)`` of the agent serving
+        ``kind`` there."""
+        end = self._ends.get((neighbour, kind))
+        if end is None:
+            port = self._classical.get(neighbour)
+            if port is None:
+                raise KeyError(f"{self.name}: no classical channel to {neighbour}")
+            side = port.peer
+            channel = side.component
+            far = channel.across(side).peer.component
+            handler = far._served.get(kind)
+            if handler is None:
+                raise PortNotConnectedError(
+                    f"{self.name}: {far.name} serves no message kind {kind!r}")
+            end = channel.end(side).bind(partial(handler, self.name))
+            self._ends[neighbour, kind] = end
+        return end

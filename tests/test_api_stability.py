@@ -31,7 +31,7 @@ REGEN_HINT = ("signature drift in the wiring layer; if intentional, "
 def _targets():
     from repro.hardware.heralded import MidpointHeraldModel, SingleClickModel
     from repro.linklayer.egp import Link
-    from repro.netsim.channels import ClassicalChannel
+    from repro.netsim.channels import ChannelEnd, ClassicalChannel
     from repro.netsim.ports import (
         CallbackComponent,
         Component,
@@ -40,7 +40,7 @@ def _targets():
         subscribe,
     )
     from repro.network.builder import Network, build_network_from_graph
-    from repro.network.node import QuantumNode, service_protocol
+    from repro.network.node import QuantumNode
 
     return {
         "netsim.ports.Port": Port,
@@ -48,9 +48,9 @@ def _targets():
         "netsim.ports.CallbackComponent": CallbackComponent,
         "netsim.ports.connect": connect,
         "netsim.ports.subscribe": subscribe,
+        "netsim.channels.ChannelEnd": ChannelEnd,
         "netsim.channels.ClassicalChannel": ClassicalChannel,
         "network.node.QuantumNode": QuantumNode,
-        "network.node.service_protocol": service_protocol,
         "network.builder.Network": Network,
         "network.builder.build_network_from_graph": build_network_from_graph,
         "linklayer.egp.Link": Link,

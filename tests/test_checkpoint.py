@@ -24,12 +24,14 @@ import pickle
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.netsim import Simulator
+from repro.core.qnp import QNPNode
+from repro.netsim import MS, Simulator
 from repro.persist import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -45,7 +47,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def _run_with_checkpoints(tmp_path, tag, *, formalism="bell",
                           topology="grid", size=3, circuits=3, load=0.5,
                           horizon=0.8, drain=0.4, interval=0.25,
-                          fail_links=0, apps=None, capture=True):
+                          fail_links=0, apps=None, capture=True,
+                          processing_delay=0.0):
     """Run a workload to completion, capturing each checkpoint written.
 
     Returns ``(engine, report, captured)`` where ``captured`` is a list
@@ -54,6 +57,8 @@ def _run_with_checkpoints(tmp_path, tag, *, formalism="bell",
     the copies are what lets the test resume from *intermediate* times).
     """
     net = build_topology(topology, size, seed=7, formalism=formalism)
+    for channel in net.channels:
+        channel.processing_delay = processing_delay
     live = tmp_path / f"{tag}.ckpt"
     engine = TrafficEngine(
         net, circuits=circuits, load=load, seed=7, fail_links=fail_links,
@@ -102,6 +107,29 @@ class TestResumeEquivalence:
                 f"resume from checkpoint {index} (t={t_ns / 1e9:.2f} s) "
                 f"diverged from the uninterrupted run")
             assert resumed.obs == want_obs
+
+    def test_resume_with_qnp_messages_in_flight(self, tmp_path):
+        # A QNP message in flight is a pending event that calls the
+        # receiving agent through the channel end bound at install; it
+        # must survive the round trip and be delivered after resume.  A
+        # 2 ms processing delay (Fig 10c's knob) keeps messages in flight
+        # long enough for the checkpoints to catch some.
+        engine, report, captured = _run_with_checkpoints(
+            tmp_path, "inflight", processing_delay=2 * MS)
+        resumed_any = False
+        for index, (_, path) in enumerate(captured):
+            envelope = pickle.loads(Path(path).read_bytes())
+            sim = pickle.loads(envelope["engine_blob"]).net.sim
+            in_flight = [handle for _, _, handle in sim._queue
+                         if isinstance(handle.callback, partial)
+                         and isinstance(handle.callback.func.__self__, QNPNode)]
+            if not in_flight:
+                continue
+            resumed = load_checkpoint(
+                path, checkpoint_out=str(tmp_path / f"inflight-r{index}.ckpt"))
+            assert resumed.resume_run().render() == report.render()
+            resumed_any = True
+        assert resumed_any, "no checkpoint caught a QNP message in flight"
 
     def test_checkpoints_span_both_phases(self, tmp_path):
         # Mid-horizon *and* mid-drain resume points must both be
@@ -320,7 +348,7 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_old_version_envelope_rejected(self, tmp_path, version):
         # Older layouts: versions 1-3 carried the process-global ID
         # counters in the envelope (1 also the Bell weight store's peak
@@ -334,7 +362,9 @@ class TestEnvelope:
         # neither the kernel's run bound nor a handle's drain waiter,
         # 10 pickled the topology as a networkx graph, and 11 pickled a
         # routing entry without its role, a channel without its cached
-        # fibre delay and a memory manager's broadcast listener list.
+        # fibre delay and a memory manager's broadcast listener list, and
+        # 12 pickled node service ports and a message in flight as a
+        # channel-side delivery in place of a bound channel end.
         # The engine blob is not a pickle, so deserialising it would
         # fail with "corrupt engine state": the version check must come
         # first.

@@ -176,7 +176,8 @@ class TestPolicer:
     def test_rejects_impossible_request(self):
         policer = Policer(max_eer=10.0)
         assert policer.admit(UserRequest(rate=20.0, request_id="a")) == PolicerDecision.REJECT
-        assert policer.rejected_count == 1
+        # Rejection reserves nothing.
+        assert policer.allocated_eer == 0.0
 
     def test_queues_when_full(self):
         policer = Policer(max_eer=10.0)

@@ -85,15 +85,6 @@ def test_send_without_receiver_raises():
         sim.run()
 
 
-def test_message_counter():
-    sim = Simulator()
-    channel, (end_a, end_b), _, _ = make_channel(sim)
-    end_a.io.tx(1)
-    end_b.io.tx(2)
-    sim.run()
-    assert channel.messages_sent == 2
-
-
 def test_fibre_transmissivity_values():
     # 5 dB/km lab fibre: 1 km → 10^-0.5.
     assert fibre_transmissivity(1.0, 5.0) == pytest.approx(10 ** -0.5)

@@ -170,7 +170,7 @@ class TestPickle:
         rec = Recorder("sink", protocol="classical")
         connect(channel.port("b"), rec.rx)
         sim2, channel2, rec2 = pickle.loads(pickle.dumps((sim, channel, rec)))
-        channel2._transmit(0, "hello")
+        channel2._ends[0].send("hello")
         sim2.run()
         assert rec2.inbox == ["hello"]
 
