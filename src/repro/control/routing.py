@@ -94,6 +94,12 @@ class RouteComputation:
         return len(self.link_names)
 
 
+#: The Pauli frame X on the second qubit, which rotates Ψ+ into Φ+.
+_PSI_TO_PHI = np.kron(np.eye(2, dtype=complex), PAULI_FRAME[1])
+_PSI_TO_PHI_DAG = _PSI_TO_PHI.conj().T
+_IDENTITY = np.eye(2, dtype=complex)
+
+
 def _canonical_link_dm(model: SingleClickModel, link_fidelity: float) -> np.ndarray:
     """Produced link state, rotated into the Φ+ frame.
 
@@ -102,22 +108,26 @@ def _canonical_link_dm(model: SingleClickModel, link_fidelity: float) -> np.ndar
     """
     alpha = model.alpha_for_fidelity(link_fidelity)
     dm = model.produced_dm(alpha, BellIndex.PSI_PLUS)
-    pauli = np.kron(np.eye(2, dtype=complex), PAULI_FRAME[1])  # X: Ψ+ → Φ+
-    return pauli.conj().T @ dm @ pauli
+    return _PSI_TO_PHI_DAG @ dm @ _PSI_TO_PHI
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2×2 matrices: the same broadcast multiply that
+    ``np.kron`` performs, without its generic shape handling."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def _age_pair(dm: np.ndarray, elapsed: float, t1: float, t2: float) -> np.ndarray:
     """Apply memory decoherence to both qubits of a pair state."""
     if elapsed <= 0:
         return dm
-    identity = np.eye(2, dtype=complex)
     aged = np.zeros_like(dm)
     for op_a in decoherence_kraus(elapsed, t1, t2):
-        big = np.kron(op_a, identity)
+        big = _kron2(op_a, _IDENTITY)
         aged += big @ dm @ big.conj().T
     result = np.zeros_like(dm)
     for op_b in decoherence_kraus(elapsed, t1, t2):
-        big = np.kron(identity, op_b)
+        big = _kron2(_IDENTITY, op_b)
         result += big @ aged @ big.conj().T
     return result
 
@@ -500,8 +510,10 @@ class CentralController:
         key = model.cache_key
         cached = _CEILING_CACHE.get(key)
         if cached is None:
+            # One vectorised sweep: the same per-α arithmetic as
+            # ``model.fidelity``, without 200 cold per-α calls.
             grid = np.geomspace(1e-3, 0.5, 200)
-            cached = float(max(model.fidelity(alpha) for alpha in grid)) - 1e-6
+            cached = float(model._produced_stats(grid)[2].max()) - 1e-6
             _CEILING_CACHE[key] = cached
         return cached
 

@@ -43,7 +43,7 @@ from .rules import EndNodeRules, IntermediateRules
 from .tracker import DirectionState
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Book-keeping for one request at an end-node (head or tail)."""
 
@@ -295,8 +295,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
 
     def _head_start_request(self, runtime: CircuitRuntime,
                             record: RequestRecord) -> None:
-        record.handle.status = RequestStatus.ACTIVE
-        record.handle.t_started = self.sim._now
+        record.handle._start(self.sim._now)
         runtime.active[record.request_id] = record
         active_ids = self._active_request_ids(runtime)
         epoch = runtime.epochs.create_epoch(active_ids)

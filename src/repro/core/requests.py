@@ -54,7 +54,7 @@ class RequestStatus(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class UserRequest:
     """An application's request for end-to-end entangled pairs."""
 
@@ -156,6 +156,11 @@ class RequestHandle:
     :meth:`on_delivery` is ignored.
     """
 
+    # Slotted: a long traffic run keeps one handle per session.
+    __slots__ = ("request", "status", "t_submitted", "t_started",
+                 "t_completed", "estimated_fidelity", "pairs_confirmed",
+                 "fidelities", "_listeners", "_submission", "_waiter")
+
     def __init__(self, request: UserRequest, estimated_fidelity: float = 0.0):
         self.request = request
         self.status = RequestStatus.QUEUED
@@ -165,8 +170,13 @@ class RequestHandle:
         self.estimated_fidelity = estimated_fidelity
         self.pairs_confirmed = 0
         self.fidelities: list[float] = []
-        #: ``None`` once the head-end has closed the handle.
-        self._listeners: Optional[list] = []
+        #: The listeners, in registration order; ``None`` once the
+        #: head-end has closed the handle.
+        self._listeners: Optional[tuple] = ()
+        #: The submitting façade's per-request state, if any: told when
+        #: the request starts and, before the listeners, of each
+        #: notification (see :class:`~repro.network.builder._Submission`).
+        self._submission = None
         self._waiter = None
 
     @property
@@ -185,12 +195,24 @@ class RequestHandle:
         notification: every delivery, and every later status change of
         an EARLY one (the same object, CONFIRMED or EXPIRED)."""
         if self._listeners is not None:
-            self._listeners.append(callback)
+            self._listeners += (callback,)
+
+    def _start(self, now: float) -> None:
+        """The head-end started the request (at once, or off the queue)."""
+        self.status = RequestStatus.ACTIVE
+        self.t_started = now
+        if self._submission is not None:
+            self._submission.start()
 
     def _notify(self, delivery: PairDelivery) -> None:
         if delivery.status is DeliveryStatus.CONFIRMED:
             self.pairs_confirmed += 1
-        for listener in tuple(self._listeners or ()):
+        # Read first: subscribing or closing the handle mid-notification
+        # does not change who hears this one.
+        listeners = self._listeners or ()
+        if self._submission is not None:
+            self._submission.head_delivery(delivery)
+        for listener in listeners:
             listener(delivery)
 
     def _finish(self, status: RequestStatus, now: float) -> None:
@@ -208,3 +230,4 @@ class RequestHandle:
     def _close(self) -> None:
         """Drop the listeners: nothing will be delivered any more."""
         self._listeners = None
+        self._submission = None

@@ -80,11 +80,17 @@ class _StopAfter:
             self.sim.stop()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Submission:
     """The façade's state for one request, alive while pairs can still
-    arrive: the head handle's listener and the tail's application
-    registration are its only owners, and both end with the request."""
+    arrive.
+
+    Its owners are the head handle, which holds it in a slot until the
+    head-end closes the handle, and the tail end-point, where the
+    submission itself is the registered application; both end with the
+    request.  A queued request's submission is built but not armed: the
+    match buffer and the tail registration wait until the head-end
+    starts the request (:meth:`start`)."""
 
     handle: RequestHandle
     oracle_min_fidelity: Optional[float] = None
@@ -94,7 +100,34 @@ class _Submission:
     on_matched: Optional[object] = None
     #: Invoked with every notification the tail end-point receives.
     on_tail_delivery: Optional[object] = None
-    _pending: dict = field(default_factory=dict)
+    _pending: Optional[dict] = field(default_factory=dict)
+    #: Where the request runs, set by :meth:`Network.submit`.
+    net: Optional["Network"] = None
+    circuit_id: str = ""
+    tail: str = ""
+    tail_id: int = 0
+
+    def start(self) -> None:
+        """The head-end started the request: build the match buffer and
+        register the tail end-point.  Pairs reach the tail only after the
+        FORWARD crosses the circuit, so registering now misses none."""
+        self._pending = {}
+        self.net.qnps[self.tail].register_application(
+            self.tail_id, self, self.circuit_id)
+
+    def head_delivery(self, delivery: PairDelivery) -> None:
+        """A notification at the head handle (see
+        :meth:`RequestHandle._notify`): match each confirmed pair."""
+        if delivery.status is DeliveryStatus.CONFIRMED:
+            self.net._match(self, delivery, is_head=True)
+
+    def __call__(self, delivery: PairDelivery) -> None:
+        """A notification at the tail end-point, where the submission is
+        the registered application."""
+        if self.on_tail_delivery is not None:
+            self.on_tail_delivery(delivery)
+        if delivery.status is DeliveryStatus.CONFIRMED:
+            self.net._match(self, delivery, is_head=False)
 
 
 #: Physical-layer models the builder can wire per link: the analytic
@@ -569,7 +602,7 @@ class Network:
             decision.inc()
         if handle.status == RequestStatus.REJECTED:
             return handle
-        submission = _Submission(
+        handle._submission = submission = _Submission(
             handle=handle,
             oracle_min_fidelity=oracle_min_fidelity,
             record_fidelity=(record_fidelity
@@ -577,31 +610,18 @@ class Network:
                              or on_matched is not None),
             on_matched=on_matched,
             on_tail_delivery=on_tail_delivery,
+            _pending=None,
+            net=self, circuit_id=circuit_id, tail=tail, tail_id=tail_id,
         )
-        # Pairs reach the tail only after the FORWARD crosses the circuit,
-        # so registering after the head-end submission misses none.
-        self.qnps[tail].register_application(
-            tail_id, partial(self._on_tail_delivery, submission), circuit_id)
-        handle.on_delivery(partial(self._on_head_delivery, submission))
+        if handle.status == RequestStatus.ACTIVE:
+            # Started inside the head-end submission, before the handle
+            # knew its submission; a queued one starts from the handle.
+            submission.start()
         return handle
 
     def _next_identifier(self) -> int:
         self._identifier_counter += 1
         return self._identifier_counter
-
-    def _on_head_delivery(self, submission: _Submission,
-                          delivery: PairDelivery) -> None:
-        if delivery.status != DeliveryStatus.CONFIRMED:
-            return
-        self._match(submission, delivery, is_head=True)
-
-    def _on_tail_delivery(self, submission: _Submission,
-                          delivery: PairDelivery) -> None:
-        if submission.on_tail_delivery is not None:
-            submission.on_tail_delivery(delivery)
-        if delivery.status != DeliveryStatus.CONFIRMED:
-            return
-        self._match(submission, delivery, is_head=False)
 
     def _match(self, submission: _Submission, delivery: PairDelivery,
                is_head: bool) -> None:

@@ -36,7 +36,7 @@ from typing import Optional
 
 #: Format version; bump on any layout change.  Loading rejects other
 #: versions before deserialising any simulation state.
-CHECKPOINT_VERSION = 13
+CHECKPOINT_VERSION = 14
 
 _MAGIC = "repro-checkpoint"
 

@@ -367,7 +367,7 @@ def record_handles(record: "SessionRecord") -> list:
     replacement circuit; delivery accounting must span every
     incarnation.
     """
-    return record.prior_handles + [record.handle]
+    return [*record.prior_handles, record.handle]
 
 
 def record_confirmed(record: "SessionRecord") -> int:

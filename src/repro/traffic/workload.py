@@ -7,10 +7,11 @@ the way a population of applications would:
    (bounded hop distance so the fidelity budget stays feasible) and
    establish one virtual circuit per pair through the normal
    routing/signalling path;
-2. **workload** — materialise a Poisson session schedule per circuit
-   (:func:`repro.traffic.arrivals.poisson_schedule`), calibrated so the
-   offered pair rate is ``load`` × the circuit's admitted EER, and submit
-   each session through :meth:`Network.submit` when its arrival timer
+2. **workload** — draw a Poisson session stream per circuit, merged
+   lazily in arrival order (:class:`repro.traffic.arrivals.
+   SessionArrivals`) and calibrated so the offered pair rate is ``load``
+   × the circuit's admitted EER; one arrival timer is pending at a time,
+   and each session is submitted through :meth:`Network.submit` when it
    fires — the head-end policer's ACCEPT / QUEUE / REJECT decision is
    recorded and respected (queued sessions simply wait their turn;
    rejected ones are never retried);
@@ -55,8 +56,8 @@ from ..obs.snapshots import SnapshotEmitter
 from .arrivals import (
     DEFAULT_CLASSES,
     PriorityClass,
+    SessionArrivals,
     SessionSpec,
-    poisson_schedule,
     stream_seed,
 )
 from .faults import FaultEvent, fault_schedule
@@ -94,9 +95,14 @@ class TrafficCircuit:
     app: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionRecord:
-    """One submitted session and its admission outcome."""
+    """One submitted session and its admission outcome.
+
+    The record is also its handles' delivery listener: it streams each
+    confirmed pair into its engine's registry (see
+    :meth:`TrafficEngine._count_deliveries`), so a session costs no
+    listener object."""
 
     spec: SessionSpec
     circuit_id: str
@@ -107,7 +113,17 @@ class SessionRecord:
     #: Failure outcome: "" (untouched), "recovered" or "lost".
     outcome: str = ""
     #: Handles of earlier incarnations (before circuit recovery).
-    prior_handles: list = field(default_factory=list)
+    prior_handles: tuple = ()
+    engine: Optional["TrafficEngine"] = field(default=None, repr=False,
+                                              compare=False)
+
+    def __call__(self, delivery) -> None:
+        """Delivery listener: count a confirmed pair and its latency."""
+        if delivery.status == DeliveryStatus.CONFIRMED:
+            engine = self.engine
+            engine._c_pairs.inc()
+            engine._h_latency.observe(
+                (engine.net.sim.now - self.handle.t_submitted) / 1e6)
 
 
 class TrafficEngine:
@@ -229,6 +245,8 @@ class TrafficEngine:
                   source=self._src_sessions_active)
         obs.counter("traffic.sessions_completed",
                     source=self._src_sessions_completed)
+        #: The merged arrival streams while arrivals remain.
+        self._arrivals: Optional[SessionArrivals] = None
         #: Circuit index → live app service instance (populated on install).
         self._app_services: dict[int, object] = {}
         self._app_outcomes = None
@@ -486,14 +504,12 @@ class TrafficEngine:
             self.emitter.start()
         if self.fail_links > 0:
             self._arm_faults(self._start_ns, self._horizon_ns)
-        schedule = poisson_schedule(
+        self._arrivals = SessionArrivals(
             len(self.circuits), self._horizon_ns,
             [self._mean_interarrival_ns(circuit) for circuit in self.circuits],
             classes=self.classes, seed=self.seed,
             max_sessions=self.max_sessions)
-        for spec in schedule:
-            sim.schedule_at(self._start_ns + spec.arrival_ns,
-                            self._submit, spec)
+        self._arrive()
         if self.checkpoint_out is not None:
             self._arm_checkpoint()
 
@@ -671,10 +687,10 @@ class TrafficEngine:
             UserRequest(num_pairs=remaining, deadline=deadline_ns),
             record_fidelity=True,
             on_matched=self._consumer_for(circuit))
-        self._count_deliveries(handle)
-        record.prior_handles.append(record.handle)
+        record.prior_handles += (record.handle,)
         record.handle = handle
         record.circuit_id = circuit.circuit_id
+        self._count_deliveries(record)
 
     def _recovery_stats(self) -> RecoveryStats:
         """Aggregate the run's routing/recovery telemetry."""
@@ -696,8 +712,9 @@ class TrafficEngine:
                                 if controller is not None else 0),
         )
 
-    def _count_deliveries(self, handle: RequestHandle) -> None:
-        """Stream this handle's confirmed pairs into the registry.
+    def _count_deliveries(self, record: SessionRecord) -> None:
+        """Stream the confirmed pairs of the record's current handle into
+        the registry.
 
         A delivery is counted on the notification that carries the
         CONFIRMED status — exactly once per pair: KEEP/MEASURE pairs are
@@ -705,15 +722,12 @@ class TrafficEngine:
         and again when the cross-check confirms (or never, when they
         expire).  The handle's own ``pairs_confirmed``, which the report
         sums, counts by the same rule, so the two always agree.
-        """
-        handle.on_delivery(partial(self._counted_delivery, handle))
 
-    def _counted_delivery(self, handle: RequestHandle, delivery) -> None:
-        """Delivery listener body (picklable: lives on the handle)."""
-        if delivery.status == DeliveryStatus.CONFIRMED:
-            self._c_pairs.inc()
-            self._h_latency.observe(
-                (self.net.sim.now - handle.t_submitted) / 1e6)
+        The listener is the record itself (:meth:`SessionRecord.__call__`).
+        A handle a session leaves behind on recovery was closed by the
+        circuit's teardown, so only the current handle still notifies.
+        """
+        record.handle.on_delivery(record)
 
     def _consumer_for(self, circuit: TrafficCircuit):
         """The delivery fan-in hook of a circuit's app service (or None).
@@ -732,6 +746,18 @@ class TrafficEngine:
         offered_rate = self.load * max(circuit.eer, 1e-9)
         return mean_pairs / offered_rate * 1e9
 
+    def _arrive(self, spec: Optional[SessionSpec] = None) -> None:
+        """Arrival timer: arm the next session's arrival, then submit
+        ``spec`` (``None`` arms the first arrival of the run)."""
+        following = next(self._arrivals, None)
+        if following is None:
+            self._arrivals = None  # exhausted: drop the streams
+        else:
+            self.net.sim.schedule_at(self._start_ns + following.arrival_ns,
+                                     self._arrive, following)
+        if spec is not None:
+            self._submit(spec)
+
     def _submit(self, spec: SessionSpec) -> None:
         """Submit one scheduled session at its circuit's head-end."""
         circuit = self.circuits[spec.circuit_index]
@@ -747,7 +773,8 @@ class TrafficEngine:
             self._c_decision["lost"].inc()
             self.records.append(SessionRecord(
                 spec=spec, circuit_id=circuit.circuit_id,
-                handle=handle, decision="lost", outcome="lost"))
+                handle=handle, decision="lost", outcome="lost",
+                engine=self))
             return
         cls = spec.priority
         deadline_ns = None
@@ -767,7 +794,8 @@ class TrafficEngine:
             decision = "accepted"
         self._c_submitted.inc()
         self._c_decision[decision].inc()
-        self._count_deliveries(handle)
-        self.records.append(SessionRecord(
-            spec=spec, circuit_id=circuit.circuit_id,
-            handle=handle, decision=decision))
+        record = SessionRecord(spec=spec, circuit_id=circuit.circuit_id,
+                               handle=handle, decision=decision, engine=self)
+        self.records.append(record)
+        if decision != "rejected":  # a rejected handle never notifies
+            self._count_deliveries(record)

@@ -348,7 +348,8 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                         13])
     def test_old_version_envelope_rejected(self, tmp_path, version):
         # Older layouts: versions 1-3 carried the process-global ID
         # counters in the envelope (1 also the Bell weight store's peak
@@ -364,7 +365,9 @@ class TestEnvelope:
         # routing entry without its role, a channel without its cached
         # fibre delay and a memory manager's broadcast listener list, and
         # 12 pickled node service ports and a message in flight as a
-        # channel-side delivery in place of a bound channel end.
+        # channel-side delivery in place of a bound channel end, and 13
+        # pickled the whole arrival schedule as queued events, per-session
+        # listener partials and handles and records with a ``__dict__``.
         # The engine blob is not a pickle, so deserialising it would
         # fail with "corrupt engine state": the version check must come
         # first.

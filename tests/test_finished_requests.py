@@ -168,9 +168,10 @@ class TestEarlySessionCounting:
         notified = Counter()
         original = workload.TrafficEngine._count_deliveries
 
-        def count_and_watch(engine, handle):
-            handle.on_delivery(lambda d: notified.update([d.status]))
-            original(engine, handle)
+        def count_and_watch(engine, record):
+            record.handle.on_delivery(
+                lambda d: notified.update([d.status]))
+            original(engine, record)
 
         monkeypatch.setattr(workload.TrafficEngine, "_count_deliveries",
                             count_and_watch)

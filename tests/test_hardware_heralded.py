@@ -295,3 +295,28 @@ class TestMidpointNetwork:
         sim.run(until=1 * S)
         assert len(inbox_a) > 5
         assert link.pairs_generated == len(inbox_a)
+
+
+@pytest.mark.parametrize("model_cls", [SingleClickModel, MidpointHeraldModel])
+@pytest.mark.parametrize("params", [SIMULATION, NEAR_TERM],
+                         ids=["simulation", "near-term"])
+@pytest.mark.parametrize("length_km", [0.002, 2.0, 25.0])
+def test_alpha_grid_sweep_bit_identical_to_per_alpha_calls(model_cls, params,
+                                                           length_km):
+    """The vectorised α sweep (the α-scan and the routing fidelity
+    ceiling) and the per-α methods are the same arithmetic: success
+    probability, garbage weight and fidelity agree bit for bit
+    (compared as raw 64-bit patterns)."""
+    from repro.hardware.heralded import MAX_ALPHA, MIN_ALPHA
+
+    model = model_cls(params, HeraldedConnection.telecom(length_km))
+    alphas = np.random.default_rng(17).uniform(MIN_ALPHA, MAX_ALPHA, 500)
+    alphas = np.concatenate([alphas, np.geomspace(1e-3, 0.5, 200),
+                             [MIN_ALPHA, MAX_ALPHA]])
+    arrays = model._produced_stats(alphas)
+    per_alpha = np.array([(model.success_probability(float(alpha)),
+                           model.garbage_weight(float(alpha)),
+                           model.fidelity(float(alpha)))
+                          for alpha in alphas]).T
+    for array, scalar in zip(arrays, per_alpha):
+        assert np.array_equal(array.view(np.int64), scalar.view(np.int64))

@@ -133,8 +133,6 @@ class TestSubmissionMatching:
 
     def test_pending_deliveries_not_matched(self):
         submission, _ = make_submission(record_fidelity=True)
-        net = bare_network()
-        net._on_head_delivery(submission,
-                              make_delivery(("p", 0),
-                                            status=DeliveryStatus.PENDING))
+        submission.head_delivery(make_delivery(
+            ("p", 0), status=DeliveryStatus.PENDING))
         assert submission._pending == {}

@@ -310,6 +310,12 @@ KEEP: dict[str, str] = {
     "quantum/states.py:_permute_qubits": ("branch of QState.reduced_dm for targets "
                                           "out of state order"),
     "services/distillation.py:theoretical_dejmps_success": _REFERENCE,
+    "traffic/arrivals.py:SessionArrivals.__iter__": ("iterator protocol: list() "
+                                                     "and for-loops over the merge "
+                                                     "call it; the engine calls next()"),
+    "traffic/arrivals.py:poisson_schedule": ("public API (repro.traffic exports it): "
+                                             "the whole schedule at once; the engine "
+                                             "merges lazily"),
 }
 
 
